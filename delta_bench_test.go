@@ -1,8 +1,8 @@
 // Benchmark and CI guard for the delta-overlay storage lifecycle: a
 // sustained 1:10 mutate:query mix on overlay storage (mutations land in
 // the frozen snapshot's tail, compaction folds it off the hot path)
-// versus the legacy refreeze lifecycle (every mutation invalidates the
-// cached CSR and the next query rebuilds it from scratch).
+// versus refreezing after every mutation (each mutation's tail is
+// compacted at once, one full CSR rebuild per mutation).
 package kaskade_test
 
 import (
@@ -39,11 +39,13 @@ func mixedWorkloadGraph(tb testing.TB) *graph.Graph {
 // mixedMutateQuery runs n iterations of the 1:10 mix against g and
 // returns the rendered rows of the final query, so arms can be checked
 // for byte-identity. Mutations tie new File vertices into existing Jobs
-// with schema-valid WRITES_TO edges; the query is a point lookup on the
-// small Machine type — cheap by design, so the refreeze arm's cost is
-// dominated by the per-mutation CSR rebuild it pays and the overlay arm
-// avoids, which is exactly the trade this benchmark prices.
-func mixedMutateQuery(tb testing.TB, g *graph.Graph, n int) []string {
+// with schema-valid WRITES_TO edges; with refreeze set, each
+// iteration's mutations are compacted into a fresh base CSR before the
+// queries run. The query is a point lookup on the small Machine type —
+// cheap by design, so the refreeze arm's cost is dominated by the
+// per-mutation CSR rebuild it pays and the overlay arm avoids, which is
+// exactly the trade this benchmark prices.
+func mixedMutateQuery(tb testing.TB, g *graph.Graph, n int, refreeze bool) []string {
 	tb.Helper()
 	jobs := g.VerticesOfType("Job")
 	q := gql.MustParse(`MATCH (m:Machine) WHERE m.name = "m0" RETURN m.name AS name`)
@@ -52,6 +54,11 @@ func mixedMutateQuery(tb testing.TB, g *graph.Graph, n int) []string {
 	for i := 0; i < n; i++ {
 		f := g.MustAddVertex("File", graph.Properties{"name": "fmix"})
 		g.MustAddEdge(jobs[i%len(jobs)], f, "WRITES_TO", graph.Properties{"ts": int64(i)})
+		if refreeze {
+			if err := g.Compact(); err != nil {
+				tb.Fatal(err)
+			}
+		}
 		for j := 0; j < queriesPerMutation; j++ {
 			res, err := ex.Execute(q)
 			if err != nil {
@@ -71,22 +78,20 @@ func mixedMutateQuery(tb testing.TB, g *graph.Graph, n int) []string {
 // BenchmarkMixedMutateQuery prices sustained mutation rate against
 // query latency in both storage lifecycles. The overlay arm absorbs
 // mutations into the snapshot tail (compacting at the default
-// threshold); the refreeze arm invalidates the cached CSR per mutation,
-// so each iteration pays a full rebuild on its first query.
+// threshold); the refreeze arm compacts after every iteration's
+// mutations, so each iteration pays one full CSR rebuild.
 func BenchmarkMixedMutateQuery(b *testing.B) {
-	b.Run("overlay", func(b *testing.B) {
-		g := mixedWorkloadGraph(b)
-		g.Freeze()
-		b.ResetTimer()
-		mixedMutateQuery(b, g, b.N)
-	})
-	b.Run("refreeze", func(b *testing.B) {
-		g := mixedWorkloadGraph(b)
-		g.SetDeltaOverlay(false)
-		g.Freeze()
-		b.ResetTimer()
-		mixedMutateQuery(b, g, b.N)
-	})
+	for _, arm := range []struct {
+		name     string
+		refreeze bool
+	}{{"overlay", false}, {"refreeze", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			g := mixedWorkloadGraph(b)
+			g.Freeze()
+			b.ResetTimer()
+			mixedMutateQuery(b, g, b.N, arm.refreeze)
+		})
+	}
 }
 
 // TestMixedMutateQueryGuard is the CI acceptance gate for the overlay:
@@ -98,26 +103,20 @@ func TestMixedMutateQueryGuard(t *testing.T) {
 	if os.Getenv("BENCH_GUARD") != "1" {
 		t.Skip("set BENCH_GUARD=1 to run the mixed mutate/query guard")
 	}
-	run := func(overlay bool) (time.Duration, []string) {
+	run := func(refreeze bool) (time.Duration, []string) {
 		g := mixedWorkloadGraph(t)
-		if !overlay {
-			g.SetDeltaOverlay(false)
-		}
 		g.Freeze()
 		// Byte-identity first, on a fixed iteration count, before the
 		// graph diverges under b.N-driven growth.
-		rows := mixedMutateQuery(t, g, 3)
+		rows := mixedMutateQuery(t, g, 3, refreeze)
 		// Min-of-N on a fresh graph per probe: the minimum is the run
 		// least polluted by scheduling noise.
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 5; i++ {
 			gb := mixedWorkloadGraph(t)
-			if !overlay {
-				gb.SetDeltaOverlay(false)
-			}
 			gb.Freeze()
 			r := testing.Benchmark(func(b *testing.B) {
-				mixedMutateQuery(b, gb, b.N)
+				mixedMutateQuery(b, gb, b.N, refreeze)
 			})
 			if d := time.Duration(r.NsPerOp()); d < best {
 				best = d
@@ -125,8 +124,8 @@ func TestMixedMutateQueryGuard(t *testing.T) {
 		}
 		return best, rows
 	}
-	ov, ovRows := run(true)
-	rf, rfRows := run(false)
+	ov, ovRows := run(false)
+	rf, rfRows := run(true)
 	if len(ovRows) != len(rfRows) {
 		t.Fatalf("overlay returned %d rendered rows, refreeze %d", len(ovRows), len(rfRows))
 	}

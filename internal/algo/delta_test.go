@@ -10,8 +10,8 @@ import (
 
 // TestKernelsMatchRefreezeUnderMutation is the algo half of the
 // delta-overlay equivalence coverage: every kernel run over a frozen
-// snapshot carrying a tail must produce byte-identical results to the
-// legacy refreeze lifecycle on an identical graph. The kernels walk the
+// snapshot carrying a tail must produce byte-identical results to an
+// identical graph whose tail was compacted into a fresh base CSR. The kernels walk the
 // frozen accessors exclusively, so this pins the merged base+tail
 // adjacency, endpoints, and vertex counts end to end.
 func TestKernelsMatchRefreezeUnderMutation(t *testing.T) {
@@ -29,7 +29,6 @@ func TestKernelsMatchRefreezeUnderMutation(t *testing.T) {
 	}
 	gOv := build()
 	gRf := build()
-	gRf.SetDeltaOverlay(false)
 	gOv.Freeze()
 	gRf.Freeze()
 
@@ -47,8 +46,11 @@ func TestKernelsMatchRefreezeUnderMutation(t *testing.T) {
 	}
 	mutate(gOv)
 	mutate(gRf)
-	if gRf.CachedFrozen() != nil {
-		t.Fatal("refreeze baseline kept its snapshot; A/B exercises one lifecycle")
+	if err := gRf.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, te := gRf.Freeze().TailSize(); te != 0 {
+		t.Fatal("compacted baseline kept its tail; the comparison exercises one lifecycle")
 	}
 
 	for _, src := range []graph.VertexID{0, 7, 55} {

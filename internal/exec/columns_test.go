@@ -60,35 +60,20 @@ func declaredLineage(t testing.TB) *graph.Graph {
 	return g
 }
 
-// runColumnMode executes src with the columnar path on or off.
-func runColumnMode(t testing.TB, g *graph.Graph, src string, workers int, noColumns bool) *Result {
-	t.Helper()
-	q := mustParse(t, src)
-	ex := &Executor{G: g, Workers: workers, noColumns: noColumns}
-	res, err := ex.Execute(q)
-	if err != nil {
-		t.Fatalf("Execute(%q, workers=%d, noColumns=%v): %v", src, workers, noColumns, err)
-	}
-	return res
-}
-
-// TestColumnsMatchMapOnLineage is the columnar-vs-map equivalence suite
-// over every exec_test query shape: with every property declared, the
-// columnar reads and the predicate prefilter must produce byte-identical
-// results (rows, order, group order, float bit patterns) to the
-// property-map path, sequential and parallel.
+// TestColumnsMatchMapOnLineage is the columnar equivalence suite over
+// every exec_test query shape: with every property declared, the
+// columnar reads and the predicate prefilter must produce
+// byte-identical results (rows, order, group order, float bit patterns)
+// to the reference evaluator, which reads the property maps
+// (oracle_test.go), sequential and parallel.
 func TestColumnsMatchMapOnLineage(t *testing.T) {
 	g := declaredLineage(t)
 	for _, src := range equivalenceQueries {
-		ref := runColumnMode(t, g, src, 1, true) // map path sequential: the reference
-		for _, workers := range []int{1, 4} {
-			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
-			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, true), workers)
-		}
+		assertMatchesOracle(t, g, src)
 	}
 }
 
-// TestColumnsMatchMapOnDatagen runs the same A/B over the randomized
+// TestColumnsMatchMapOnDatagen runs the same check over the randomized
 // synthetic datasets (prov declares properties; the others exercise the
 // column-less fallback).
 func TestColumnsMatchMapOnDatagen(t *testing.T) {
@@ -96,19 +81,15 @@ func TestColumnsMatchMapOnDatagen(t *testing.T) {
 		graphs := datagenGraphs(t, seed)
 		for name, g := range graphs {
 			for _, src := range datasetQueries[name] {
-				ref := runColumnMode(t, g, src, 1, true)
-				for _, workers := range []int{1, 4} {
-					assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
-				}
+				assertMatchesOracle(t, g, src)
 			}
 		}
 	}
 }
 
 // TestColumnsMatchMapOnAbsentValues pins the prefilter's nil semantics:
-// a vertex lacking the declared property compares like the map path —
-// "=" is cleanly false, "<>" is cleanly true, and orderings error — on
-// both storage modes.
+// a vertex lacking the declared property compares like the map read —
+// "=" is cleanly false, "<>" is cleanly true, and orderings error.
 func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 	s := graph.MustSchema([]string{"Job"}, nil)
 	if err := s.DeclareProperty("Job", "CPU", graph.PropInt); err != nil {
@@ -123,19 +104,20 @@ func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 		`MATCH (j:Job) WHERE j.CPU = 10 RETURN ID(j) AS id`,
 		`MATCH (j:Job) WHERE j.CPU <> 10 RETURN ID(j) AS id`,
 	} {
-		ref := runColumnMode(t, g, src, 1, true)
-		for _, workers := range []int{1, 4} {
-			assertSameResult(t, src, ref, runColumnMode(t, g, src, workers, false), workers)
-		}
+		assertMatchesOracle(t, g, src)
 	}
 	// An ordering against the absent value errors identically: the
 	// prefilter must keep the candidate so the error still surfaces.
 	src := `MATCH (j:Job) WHERE j.CPU >= 10 RETURN ID(j) AS id`
-	for _, noColumns := range []bool{false, true} {
-		ex := &Executor{G: g, noColumns: noColumns}
+	if _, err := oracleQuery(g, mustParse(t, src)); err == nil ||
+		!strings.Contains(err.Error(), "cannot compare") {
+		t.Errorf("reference: err = %v, want incomparable error", err)
+	}
+	for _, workers := range []int{1, 4} {
+		ex := &Executor{G: g, Workers: workers}
 		if _, err := ex.Execute(mustParse(t, src)); err == nil ||
 			!strings.Contains(err.Error(), "cannot compare") {
-			t.Errorf("noColumns=%v: err = %v, want incomparable error", noColumns, err)
+			t.Errorf("workers=%d: err = %v, want incomparable error", workers, err)
 		}
 	}
 }
@@ -145,8 +127,7 @@ func TestColumnsMatchMapOnAbsentValues(t *testing.T) {
 // predicate.
 func TestColumnPrefilterEngagement(t *testing.T) {
 	g := declaredLineage(t)
-	g.Freeze()
-	ex := &Executor{G: g}
+	f := g.Freeze()
 	match := func(src string) *gql.MatchQuery {
 		t.Helper()
 		q, ok := mustParse(t, src).(*gql.MatchQuery)
@@ -164,7 +145,7 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		`MATCH (j:Job) WHERE j.CPU >= 20 AND j.name <> 'zzz' RETURN j`,
 		`MATCH (j:Job)-[:WRITES_TO]->(f:File) WHERE j.CPU >= 20 RETURN j, f`,
 	} {
-		pf := ex.columnPrefilter(match(src))
+		pf := columnPrefilter(match(src), f)
 		if pf == nil {
 			t.Errorf("%q: prefilter did not engage", src)
 			continue
@@ -187,23 +168,18 @@ func TestColumnPrefilterEngagement(t *testing.T) {
 		{`MATCH (j:Job) WHERE j.name <> 'x' OR j.CPU = 1 RETURN j`, "top-level OR"},
 		{`MATCH (j:Job) WHERE j.CPU + 1 >= 21 RETURN j`, "computed left side"},
 	} {
-		if ex.columnPrefilter(match(tc.src)) != nil {
+		if columnPrefilter(match(tc.src), f) != nil {
 			t.Errorf("%q: prefilter engaged (%s)", tc.src, tc.why)
 		}
-	}
-
-	// The A/B switch disables it outright.
-	exOff := &Executor{G: g, noColumns: true}
-	if exOff.columnPrefilter(match(`MATCH (j:Job) WHERE j.CPU >= 20 RETURN j`)) != nil {
-		t.Error("noColumns executor still prefilters")
 	}
 }
 
 // TestColumnMetricsCounters pins the columnar-usage counters: a fully
-// declared workload reads only columns; the noColumns switch reads only
-// the maps.
+// declared workload reads only columns; the same workload over
+// undeclared properties reads only the maps.
 func TestColumnMetricsCounters(t *testing.T) {
 	g := declaredLineage(t)
+	undeclared, _ := lineage(t)
 	src := `MATCH (j:Job) WHERE j.CPU >= 20 RETURN j.name AS name`
 	for _, workers := range []int{1, 4} {
 		reg := metrics.NewRegistry()
@@ -219,15 +195,15 @@ func TestColumnMetricsCounters(t *testing.T) {
 		}
 
 		reg = metrics.NewRegistry()
-		ex = &Executor{G: g, Workers: workers, Metrics: reg, noColumns: true}
+		ex = &Executor{G: undeclared, Workers: workers, Metrics: reg}
 		if _, err := ex.Execute(mustParse(t, src)); err != nil {
 			t.Fatal(err)
 		}
 		if n := reg.ColumnScans.Load(); n != 0 {
-			t.Errorf("workers=%d noColumns: ColumnScans = %d, want 0", workers, n)
+			t.Errorf("workers=%d undeclared: ColumnScans = %d, want 0", workers, n)
 		}
 		if reg.PropMapFallbacks.Load() == 0 {
-			t.Errorf("workers=%d noColumns: PropMapFallbacks = 0, want > 0", workers)
+			t.Errorf("workers=%d undeclared: PropMapFallbacks = 0, want > 0", workers)
 		}
 	}
 }
@@ -267,26 +243,9 @@ func TestVarLengthMatchAllocations(t *testing.T) {
 
 // BenchmarkPropertyScan prices the Q1 WHERE-filter shape — scan a
 // vertex type, filter on a declared property, project another — on the
-// property-map path vs the columnar path with the predicate prefilter.
+// columnar path with the predicate prefilter.
 func BenchmarkPropertyScan(b *testing.B) {
 	g := benchGraph(b)
 	q := gql.MustParse(`MATCH (j:Job) WHERE j.CPU >= 900 RETURN j.name AS name`)
-	b.Run("map", func(b *testing.B) {
-		ex := &Executor{G: g, noColumns: true}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("columnar", func(b *testing.B) {
-		ex := &Executor{G: g}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ex.Execute(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	benchExecute(b, &Executor{G: g}, q)
 }

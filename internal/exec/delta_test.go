@@ -36,18 +36,56 @@ func assertSameRendered(t *testing.T, src string, want, got *Result, workers int
 	}
 }
 
-// TestDeltaOverlayMatchesRefreezeOnLineage is the delta-overlay A/B
+// compactTwin folds g's delta tail into a fresh base CSR, so the next
+// query reads a snapshot equivalent to freezing g from scratch — the
+// refreeze baseline the overlay is checked against.
+func compactTwin(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if err := g.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if f := g.CachedFrozen(); f == nil {
+		t.Fatal("compacted twin has no snapshot")
+	} else if tv, te := f.TailSize(); tv+te != 0 {
+		t.Fatalf("compacted twin kept a tail (%d, %d)", tv, te)
+	}
+}
+
+// assertOverlayMatches checks one query on an overlay graph carrying a
+// delta tail: byte-identical to the reference evaluator on the same
+// graph, and rendered-identical on each identically mutated twin, at
+// workers 1 and 4.
+func assertOverlayMatches(t *testing.T, gOv *graph.Graph, src string, twins ...*graph.Graph) {
+	t.Helper()
+	ref := oracleRun(t, gOv, src)
+	for _, workers := range []int{1, 4} {
+		assertSameResult(t, src, ref, runWorkers(t, gOv, src, workers), workers)
+		for _, g := range twins {
+			assertSameRendered(t, src, ref, runWorkers(t, g, src, workers), workers)
+		}
+	}
+}
+
+// requireTail fails unless g's snapshot carries a non-empty delta tail.
+func requireTail(t *testing.T, g *graph.Graph) {
+	t.Helper()
+	if f := g.CachedFrozen(); f == nil {
+		t.Fatal("overlay graph lost its snapshot")
+	} else if tv, te := f.TailSize(); tv+te == 0 {
+		t.Fatal("mutations did not land in the tail")
+	}
+}
+
+// TestDeltaOverlayMatchesRefreezeOnLineage is the delta-overlay
 // equivalence suite over every query shape: a graph mutating on
 // overlay storage (tail merged behind the frozen accessors, no
-// refreeze) must produce byte-identical results to the same graph on
-// the legacy freeze-after-every-mutation lifecycle, and to the
-// append-mode reference, sequential and parallel.
+// refreeze) must produce byte-identical results to the reference
+// evaluator and to an identical twin whose tail is compacted into a
+// fresh base before every read, sequential and parallel.
 func TestDeltaOverlayMatchesRefreezeOnLineage(t *testing.T) {
 	gOv, idsOv := lineage(t)
 	gRf, idsRf := lineage(t)
-	gRf.SetDeltaOverlay(false)
-	// Prime the snapshots so subsequent mutations hit the overlay path
-	// on one graph and the invalidation path on the other.
+	// Prime the snapshots so subsequent mutations land in the tail.
 	gOv.Freeze()
 	gRf.Freeze()
 	mutate := func(g *graph.Graph, ids map[string]graph.VertexID, round int) {
@@ -62,27 +100,15 @@ func TestDeltaOverlayMatchesRefreezeOnLineage(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		mutate(gOv, idsOv, round)
 		mutate(gRf, idsRf, round)
-		if gOv.CachedFrozen() == nil {
-			t.Fatal("overlay graph lost its snapshot")
-		}
-		if _, te := gOv.CachedFrozen().TailSize(); te == 0 {
-			t.Fatal("mutations did not land in the tail")
-		}
+		compactTwin(t, gRf)
+		requireTail(t, gOv)
 		for _, src := range equivalenceQueries {
-			// Each graph's append-mode run is its semantic reference;
-			// the two references are then pinned identical to each other.
-			refOv := runMode(t, gOv, src, 1, true)
-			refRf := runMode(t, gRf, src, 1, true)
-			assertSameRendered(t, src, refRf, refOv, 1)
-			for _, workers := range []int{1, 4} {
-				assertSameResult(t, src, refOv, runMode(t, gOv, src, workers, false), workers)
-				assertSameResult(t, src, refRf, runMode(t, gRf, src, workers, false), workers)
-			}
+			assertOverlayMatches(t, gOv, src, gRf)
 		}
 	}
 }
 
-// TestDeltaOverlayMatchesRefreezeWithColumns runs the same A/B with
+// TestDeltaOverlayMatchesRefreezeWithColumns runs the same check with
 // declared properties, so tail vertices resolve through the columnar
 // path (tail column extensions, prefilter included) rather than the
 // property maps.
@@ -106,7 +132,6 @@ func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 	}
 	gOv := build()
 	gRf := build()
-	gRf.SetDeltaOverlay(false)
 	gOv.Freeze()
 	gRf.Freeze()
 	queries := []string{
@@ -128,14 +153,10 @@ func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		mutate(gOv, round)
 		mutate(gRf, round)
+		compactTwin(t, gRf)
+		requireTail(t, gOv)
 		for _, src := range queries {
-			refOv := runMode(t, gOv, src, 1, true)
-			refRf := runMode(t, gRf, src, 1, true)
-			assertSameRendered(t, src, refRf, refOv, 1)
-			for _, workers := range []int{1, 4} {
-				assertSameResult(t, src, refOv, runMode(t, gOv, src, workers, false), workers)
-				assertSameResult(t, src, refRf, runMode(t, gRf, src, workers, false), workers)
-			}
+			assertOverlayMatches(t, gOv, src, gRf)
 		}
 	}
 }
@@ -143,8 +164,9 @@ func TestDeltaOverlayMatchesRefreezeWithColumns(t *testing.T) {
 // TestDeltaOverlayInterleavedRandom drives a randomized interleaved
 // mutate/query sequence over a datagen provenance graph, in three
 // storage lifecycles at once: plain overlay, overlay with an aggressive
-// compaction threshold (folding every few mutations), and the refreeze
-// baseline. All three must agree on every query at workers {1,4}.
+// compaction threshold (folding every few mutations), and a twin
+// compacted before every read. All three must agree with the reference
+// evaluator on every query at workers {1,4}.
 func TestDeltaOverlayInterleavedRandom(t *testing.T) {
 	cfg := datagen.ProvConfig{
 		Jobs: 40, Files: 100, TasksPerJob: 2, Machines: 8, Users: 4,
@@ -161,7 +183,6 @@ func TestDeltaOverlayInterleavedRandom(t *testing.T) {
 	gCp := build()
 	gCp.SetCompactionThreshold(8)
 	gRf := build()
-	gRf.SetDeltaOverlay(false)
 	all := []*graph.Graph{gOv, gCp, gRf}
 	for _, g := range all {
 		g.Freeze()
@@ -188,18 +209,11 @@ func TestDeltaOverlayInterleavedRandom(t *testing.T) {
 				g.MustAddEdge(f, j, "IS_READ_BY", graph.Properties{"ts": int64(step)})
 			}
 		}
+		compactTwin(t, gRf)
 		src := queries[rng.Intn(len(queries))]
-		ref := runMode(t, gRf, src, 1, false)
-		for _, workers := range []int{1, 4} {
-			assertSameRendered(t, src, ref, runMode(t, gOv, src, workers, false), workers)
-			assertSameRendered(t, src, ref, runMode(t, gCp, src, workers, false), workers)
-		}
+		assertOverlayMatches(t, gOv, src, gCp, gRf)
 	}
-	if f := gOv.CachedFrozen(); f == nil {
-		t.Fatal("overlay graph lost its snapshot")
-	} else if tv, te := f.TailSize(); tv+te == 0 {
-		t.Fatal("overlay graph accumulated no tail")
-	}
+	requireTail(t, gOv)
 	if gCp.Compactions() == 0 {
 		t.Fatal("aggressive-threshold graph never compacted")
 	}

@@ -14,16 +14,13 @@ import (
 // within one match of the whole clause (this is what makes variable-length
 // traversal over cyclic graphs terminate).
 //
-// When f is set (the default — the executor freezes its graph at query
-// start), traversal steps run on the frozen CSR view: a typed edge
-// pattern expands through OutOfType/InOfType, one contiguous
-// pre-filtered slice per step instead of a filter over the full
-// adjacency row, and endpoint/type lookups read flat arrays instead of
-// the Edge records. Enumeration order is identical either way (the
-// frozen view preserves insertion order within each type group), so
-// both modes produce byte-identical results; the append-mode path
-// (f == nil) is kept as the semantic reference for the equivalence
-// tests.
+// Traversal steps run on the frozen CSR view the executor builds once
+// per query: a typed edge pattern expands through OutOfType/InOfType,
+// one contiguous pre-filtered slice per step, and endpoint/type lookups
+// read flat arrays instead of the Edge records. The frozen view
+// preserves insertion order within each type group, so enumeration
+// order is the graph's insertion order (the test-only reference
+// evaluator pins this).
 //
 // Bindings live in flat plan-time scratch, not a map: varNames holds
 // the pattern's variables (fixed at construction) and slots the bound
@@ -35,7 +32,7 @@ import (
 // exported at the escape boundary — see exportValue.
 type matcher struct {
 	g        *graph.Graph
-	f        *graph.Frozen // frozen CSR view; nil = append-mode traversal
+	f        *graph.Frozen // frozen CSR view the traversal reads
 	varNames []string      // pattern variables, deduped, construction order
 	slots    []Value       // bound value per variable; nil = unbound
 	usedEdge []bool        // edge-uniqueness set, indexed by EdgeID
@@ -50,26 +47,23 @@ type matcher struct {
 	// instead).
 	firstCands []graph.VertexID
 
-	// noColumns pins property reads to the map path (the columnar A/B
-	// switch); colReads/mapReads count covered column reads vs vertex
-	// map fallbacks, flushed coarsely via flushPropReads.
-	noColumns bool
-	colReads  int64
-	mapReads  int64
+	// colReads/mapReads count covered column reads vs vertex map
+	// fallbacks, flushed coarsely via flushPropReads.
+	colReads int64
+	mapReads int64
 }
 
-// newMatcher builds a matcher for q over ex's graph, on the frozen CSR
-// path unless the executor's noFrozen escape hatch is set. The
-// edge-uniqueness set costs O(NumEdges) to allocate and zero, so it is
-// only built when the patterns actually contain edge steps — a
-// vertex-only point query pays nothing for it regardless of graph
-// size.
-func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery) *matcher {
+// newMatcher builds a matcher for q over ex's graph, traversing the
+// query's frozen snapshot f. The edge-uniqueness set costs O(NumEdges)
+// to allocate and zero, so it is only built when the patterns actually
+// contain edge steps — a vertex-only point query pays nothing for it
+// regardless of graph size.
+func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) *matcher {
 	m := &matcher{
-		g:         ex.G,
-		where:     q.Where,
-		ctx:       ctx,
-		noColumns: ex.noColumns,
+		g:     ex.G,
+		f:     f,
+		where: q.Where,
+		ctx:   ctx,
 	}
 	for _, pat := range q.Patterns {
 		for _, n := range pat.Nodes {
@@ -85,9 +79,6 @@ func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery) *matcher 
 			m.usedEdge = make([]bool, ex.G.NumEdges())
 			break
 		}
-	}
-	if !ex.noFrozen {
-		m.f = ex.G.Freeze()
 	}
 	return m
 }
@@ -129,10 +120,9 @@ func (m *matcher) lookup(name string) (Value, bool) {
 	return nil, false
 }
 
-// prop implements scope: vertex reads route through the frozen columns
-// unless the noColumns A/B switch pins the map path.
+// prop implements scope: vertex reads route through the frozen columns.
 func (m *matcher) prop(base Value, key string) (Value, error) {
-	return readProp(base, key, !m.noColumns, &m.colReads, &m.mapReads)
+	return readProp(base, key, &m.colReads, &m.mapReads)
 }
 
 // snapshot implements scope: the bound variables as a map, values
@@ -164,58 +154,27 @@ func (m *matcher) flushPropReads(reg *metrics.Registry) {
 }
 
 // stepEdges returns the adjacency slice to scan for one edge-pattern
-// step at vertex v, and whether it is already restricted to the
-// pattern's edge type. On the frozen path a typed step gets the
-// contiguous (v, type) group; otherwise callers filter per edge.
-func (m *matcher) stepEdges(v graph.VertexID, etype string, reversed bool) (edges []graph.EdgeID, typed bool) {
-	if m.f != nil {
-		if etype != "" {
-			if reversed {
-				return m.f.InOfType(v, etype), true
-			}
-			return m.f.OutOfType(v, etype), true
-		}
-		if reversed {
-			return m.f.In(v), false
-		}
-		return m.f.Out(v), false
+// step at vertex v: the contiguous (v, type) group for a typed step,
+// the whole row otherwise.
+func (m *matcher) stepEdges(v graph.VertexID, etype string, reversed bool) []graph.EdgeID {
+	switch {
+	case etype != "" && reversed:
+		return m.f.InOfType(v, etype)
+	case etype != "":
+		return m.f.OutOfType(v, etype)
+	case reversed:
+		return m.f.In(v)
 	}
-	if reversed {
-		return m.g.In(v), false
-	}
-	return m.g.Out(v), false
+	return m.f.Out(v)
 }
 
 // edgeEndpoint returns the step's target endpoint of eid (the source
-// when reversed), from the frozen flat arrays when available.
+// when reversed).
 func (m *matcher) edgeEndpoint(eid graph.EdgeID, reversed bool) graph.VertexID {
-	if m.f != nil {
-		if reversed {
-			return m.f.From(eid)
-		}
-		return m.f.To(eid)
-	}
-	e := m.g.Edge(eid)
 	if reversed {
-		return e.From
+		return m.f.From(eid)
 	}
-	return e.To
-}
-
-// edgeTypeOf returns eid's type label.
-func (m *matcher) edgeTypeOf(eid graph.EdgeID) string {
-	if m.f != nil {
-		return m.f.EdgeTypeOf(eid)
-	}
-	return m.g.Edge(eid).Type
-}
-
-// vertexTypeOf returns v's type label.
-func (m *matcher) vertexTypeOf(v graph.VertexID) string {
-	if m.f != nil {
-		return m.f.VertexTypeOf(v)
-	}
-	return m.g.Vertex(v).Type
+	return m.f.To(eid)
 }
 
 // tickEvery is how many traversal steps pass between context polls: a
@@ -319,7 +278,7 @@ func (m *matcher) bindNode(n gql.NodePattern, cont func(graph.VertexID) error) e
 			if !ok {
 				return fmt.Errorf("exec: variable %s is not a vertex", n.Var)
 			}
-			if n.Type != "" && m.vertexTypeOf(ref.ID) != n.Type {
+			if n.Type != "" && m.f.VertexTypeOf(ref.ID) != n.Type {
 				return nil
 			}
 			return cont(ref.ID)
@@ -356,7 +315,7 @@ func (m *matcher) bindNode(n gql.NodePattern, cont func(graph.VertexID) error) e
 // checkAndBindTarget binds (or joins) the target node of an edge step and
 // invokes cont with the target vertex.
 func (m *matcher) checkAndBindTarget(toPat gql.NodePattern, target graph.VertexID, cont func(graph.VertexID) error) error {
-	if toPat.Type != "" && m.vertexTypeOf(target) != toPat.Type {
+	if toPat.Type != "" && m.f.VertexTypeOf(target) != toPat.Type {
 		return nil
 	}
 	if toPat.Var == "" {
@@ -380,7 +339,7 @@ func (m *matcher) checkAndBindTarget(toPat gql.NodePattern, target graph.VertexI
 }
 
 func (m *matcher) matchSingleEdge(from graph.VertexID, e gql.EdgePattern, toPat gql.NodePattern, cont func(graph.VertexID) error) error {
-	edges, typed := m.stepEdges(from, e.Type, e.Reversed)
+	edges := m.stepEdges(from, e.Type, e.Reversed)
 	ei := -1
 	if e.Var != "" {
 		ei = m.slot(e.Var)
@@ -390,9 +349,6 @@ func (m *matcher) matchSingleEdge(from graph.VertexID, e gql.EdgePattern, toPat 
 			return err
 		}
 		if m.usedEdge[eid] {
-			continue
-		}
-		if !typed && e.Type != "" && m.edgeTypeOf(eid) != e.Type {
 			continue
 		}
 		target := m.edgeEndpoint(eid, e.Reversed)
@@ -460,15 +416,11 @@ func (m *matcher) matchVarLength(from graph.VertexID, e gql.EdgePattern, toPat g
 		if max >= 0 && hops == max {
 			return nil
 		}
-		edges, typed := m.stepEdges(at, e.Type, e.Reversed)
-		for _, eid := range edges {
+		for _, eid := range m.stepEdges(at, e.Type, e.Reversed) {
 			if err := m.tick(); err != nil {
 				return err
 			}
 			if m.usedEdge[eid] {
-				continue
-			}
-			if !typed && e.Type != "" && m.edgeTypeOf(eid) != e.Type {
 				continue
 			}
 			next := m.edgeEndpoint(eid, e.Reversed)

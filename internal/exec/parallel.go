@@ -143,12 +143,12 @@ func firstNodeCandidates(g *graph.Graph, patterns []gql.PathPattern) ([]graph.Ve
 // when the query shape or candidate count does not benefit from
 // partitioning, in which case the caller falls through to the
 // sequential path.
-func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, workers int) ([]string, iter.Seq2[Row, error], bool) {
+func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, workers int) ([]string, iter.Seq2[Row, error], bool) {
 	cands, ok := firstNodeCandidates(ex.G, q.Patterns)
 	if !ok || len(cands) < 2 {
 		return nil, nil, false
 	}
-	if pf := ex.columnPrefilter(q); pf != nil {
+	if pf := columnPrefilter(q, f); pf != nil {
 		// One flat column pass drops candidates whose leftmost WHERE
 		// conjunct is cleanly false before any chunk descends; survivors
 		// still evaluate the full WHERE (idempotent). Filtering the
@@ -164,9 +164,6 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 	}
 
 	mode := aggModeOf(q.Return, newTypeEnv(ex.G.Schema(), q.Patterns))
-	if mode == AggModePartial && ex.noPartialAgg {
-		mode = AggModeBuffered
-	}
 
 	// Contiguous chunks in candidate order; concatenating chunk results
 	// in chunk-index order reproduces the sequential enumeration.
@@ -195,7 +192,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 		// mode uses it purely as the merge target.
 		var agg *aggregator
 		if mode != AggModeNone {
-			agg = newAggregator(q.Return, nil, ex.noColumns)
+			agg = newAggregator(q.Return, nil)
 		}
 		firstNode := q.Patterns[0].Nodes[0]
 		// front is the partition the merge currently consumes. Row-mode
@@ -211,7 +208,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 				// drain back to empty between candidates, so the
 				// per-matcher state is reusable across chunks without
 				// cross-talk.
-				m := ex.newMatcher(wctx, q)
+				m := ex.newMatcher(wctx, q, f)
 				defer m.flushPropReads(ex.Metrics)
 				for {
 					ci, ok := next()
@@ -452,7 +449,7 @@ func (*partitionLimitError) Error() string { return "exec: partition row limit" 
 func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, mode AggMode, agg *aggregator, cands []graph.VertexID, firstNode gql.NodePattern, ch *matchChunk, ci int, front *atomic.Int64) error {
 	switch mode {
 	case AggModePartial:
-		ch.agg = newAggregator(q.Return, nil, ex.noColumns)
+		ch.agg = newAggregator(q.Return, nil)
 		m.yield = func() error {
 			ch.yields++
 			if ex.MaxRows > 0 && ch.yields > ex.MaxRows {

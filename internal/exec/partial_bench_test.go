@@ -17,7 +17,7 @@ import (
 // merging existed); the partial strategy folds yields into per-chunk
 // accumulators as they happen and must stay within a few percent of
 // sequential. On multi-core hosts the same variants show the speedup
-// instead.
+// instead. Each shape runs in the strategy the planner selects for it.
 
 func partialBenchGraph(b *testing.B) *graph.Graph {
 	b.Helper()
@@ -30,8 +30,8 @@ func partialBenchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-// benchAggVariants runs src sequentially, then on the parallel path in
-// both aggregation strategies at each worker count.
+// benchAggVariants runs src sequentially, then on the parallel path at
+// each worker count, in the aggregation strategy the planner selects.
 func benchAggVariants(b *testing.B, src string, wantMode AggMode) {
 	g := partialBenchGraph(b)
 	q := mustParse(b, src)
@@ -50,12 +50,8 @@ func benchAggVariants(b *testing.B, src string, wantMode AggMode) {
 	}
 	b.Run("seq", run(&Executor{G: g, Workers: 1}))
 	for _, workers := range []int{2, 4} {
-		if wantMode == AggModePartial {
-			b.Run(fmt.Sprintf("partial/w%d", workers),
-				run(&Executor{G: g, Workers: workers}))
-		}
-		b.Run(fmt.Sprintf("buffered/w%d", workers),
-			run(&Executor{G: g, Workers: workers, noPartialAgg: true}))
+		b.Run(fmt.Sprintf("%v/w%d", wantMode, workers),
+			run(&Executor{G: g, Workers: workers}))
 	}
 }
 
@@ -77,8 +73,8 @@ func BenchmarkPartialAggSumInt(b *testing.B) {
 }
 
 // BenchmarkPartialAggFloatStaysBuffered: the AVG control — an
-// order-sensitive accumulator never selects the partial mode, so only
-// the buffered variants exist for it.
+// order-sensitive accumulator never selects the partial mode, so its
+// parallel variants run buffered.
 func BenchmarkPartialAggFloatStaysBuffered(b *testing.B) {
 	benchAggVariants(b, `MATCH (a:User)-[:FOLLOWS]->(b:User) RETURN a AS u, AVG(ID(b)) AS avg`, AggModeBuffered)
 }

@@ -70,32 +70,16 @@ func TestPartialAggSuiteSelectsPartial(t *testing.T) {
 	}
 }
 
-// runBuffered executes src with the partial mode disabled — the A/B
-// switch proving the two aggregation strategies byte-identical.
-func runBuffered(t testing.TB, g *graph.Graph, src string, workers int) *Result {
-	t.Helper()
-	q := mustParse(t, src)
-	ex := &Executor{G: g, Workers: workers, noPartialAgg: true}
-	res, err := ex.Execute(q)
-	if err != nil {
-		t.Fatalf("buffered(%q, workers=%d): %v", src, workers, err)
-	}
-	return res
-}
-
-// TestPartialAggMatchesBufferedOnLineage: for every partial-mode shape,
-// sequential, buffered-parallel, and partial-parallel execution must
-// agree byte for byte (rows, group order, values) at every worker
-// count, streamed or buffered.
+// TestPartialAggMatchesBufferedOnLineage: for every partial-mode
+// shape, execution at every worker count must agree byte for byte
+// (rows, group order, values) with the reference evaluator's sequential
+// buffered fold, streamed or buffered.
 func TestPartialAggMatchesBufferedOnLineage(t *testing.T) {
 	g, _ := lineage(t)
 	for _, src := range partialAggQueries {
-		seq := runWorkers(t, g, src, 1)
-		for _, workers := range []int{2, 4, 8, -1} {
-			partial := runWorkers(t, g, src, workers)
-			assertSameResult(t, src, seq, partial, workers)
-			buffered := runBuffered(t, g, src, workers)
-			assertSameResult(t, src, seq, buffered, workers)
+		ref := oracleRun(t, g, src)
+		for _, workers := range []int{1, 2, 4, 8, -1} {
+			assertSameResult(t, src, ref, runWorkers(t, g, src, workers), workers)
 		}
 		// The streaming cursor consumes the same partial-merge core.
 		for _, workers := range []int{1, 4} {
@@ -103,7 +87,7 @@ func TestPartialAggMatchesBufferedOnLineage(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream(%q, workers=%d): %v", src, workers, err)
 			}
-			assertSameResult(t, src, seq, streamed, workers)
+			assertSameResult(t, src, ref, streamed, workers)
 		}
 	}
 }
@@ -129,8 +113,8 @@ var partialDatasetQueries = map[string][]string{
 	},
 }
 
-// TestPartialAggMatchesBufferedOnDatagen repeats the three-way
-// equivalence on randomized skewed, cyclic, and grid-shaped data.
+// TestPartialAggMatchesBufferedOnDatagen repeats the check on
+// randomized skewed, cyclic, and grid-shaped data.
 func TestPartialAggMatchesBufferedOnDatagen(t *testing.T) {
 	for _, seed := range []int64{5, 23} {
 		graphs := datagenGraphs(t, seed)
@@ -139,11 +123,7 @@ func TestPartialAggMatchesBufferedOnDatagen(t *testing.T) {
 				if got := QueryAggMode(mustParse(t, src)); got != AggModePartial {
 					t.Fatalf("%s query %q selects %v, want partial", name, src, got)
 				}
-				seq := runWorkers(t, g, src, 1)
-				for _, workers := range []int{4} {
-					assertSameResult(t, src, seq, runWorkers(t, g, src, workers), workers)
-					assertSameResult(t, src, seq, runBuffered(t, g, src, workers), workers)
-				}
+				assertMatchesOracle(t, g, src)
 			}
 		}
 	}
@@ -223,13 +203,12 @@ func TestPartialAggMinMaxIgnoresNaN(t *testing.T) {
 	if got := QueryAggMode(mustParse(t, src)); got != AggModePartial {
 		t.Fatalf("mode = %v, want partial", got)
 	}
-	seq := runWorkers(t, g, src, 1)
-	if seq.Rows[0][0] != float64(100000) || seq.Rows[0][1] != float64(10) {
-		t.Fatalf("sequential row = %v, want [100000 10]", seq.Rows[0])
+	ref := oracleRun(t, g, src)
+	if ref.Rows[0][0] != float64(100000) || ref.Rows[0][1] != float64(10) {
+		t.Fatalf("reference row = %v, want [100000 10]", ref.Rows[0])
 	}
-	for _, workers := range []int{2, 4, 8, -1} {
-		assertSameResult(t, src, seq, runWorkers(t, g, src, workers), workers)
-		assertSameResult(t, src, seq, runBuffered(t, g, src, workers), workers)
+	for _, workers := range []int{1, 2, 4, 8, -1} {
+		assertSameResult(t, src, ref, runWorkers(t, g, src, workers), workers)
 	}
 }
 

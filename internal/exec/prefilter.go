@@ -28,12 +28,12 @@ type colPrefilter struct {
 	litB bool
 }
 
-// columnPrefilter derives the prefilter for q, or nil when the shape
-// does not apply. The conditions are deliberately conservative: every
-// skipped candidate must be one the full pipeline would have produced
-// zero rows AND zero errors for.
-func (ex *Executor) columnPrefilter(q *gql.MatchQuery) *colPrefilter {
-	if ex.noColumns || ex.noFrozen || q.Where == nil || len(q.Patterns) == 0 {
+// columnPrefilter derives the prefilter for q over the query's frozen
+// snapshot f, or nil when the shape does not apply. The conditions are
+// deliberately conservative: every skipped candidate must be one the
+// full pipeline would have produced zero rows AND zero errors for.
+func columnPrefilter(q *gql.MatchQuery, f *graph.Frozen) *colPrefilter {
+	if q.Where == nil || len(q.Patterns) == 0 {
 		return nil
 	}
 	// Variable sanity: dropping a candidate suppresses every binding it
@@ -116,7 +116,7 @@ func (ex *Executor) columnPrefilter(q *gql.MatchQuery) *colPrefilter {
 	if pa.Base != first.Var {
 		return nil
 	}
-	col, ok := ex.G.Freeze().Column(first.Type, pa.Key)
+	col, ok := f.Column(first.Type, pa.Key)
 	if !ok {
 		return nil
 	}

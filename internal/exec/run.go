@@ -53,24 +53,6 @@ type Executor struct {
 	// time) for this execution — the EXPLAIN ANALYZE hook. A Profile is
 	// single-use: attach a fresh one per execution.
 	Prof *Profile
-
-	// noPartialAgg forces AggModePartial queries onto the buffered
-	// path — the A/B switch the equivalence tests and benchmarks use to
-	// prove the two strategies byte-identical.
-	noPartialAgg bool
-
-	// noFrozen forces the matcher onto the append-mode adjacency
-	// (Graph.Out/In with per-edge type filtering) instead of the frozen
-	// CSR view — the A/B switch the frozen-vs-append equivalence suite
-	// and benchmarks use. Results are byte-identical either way.
-	noFrozen bool
-
-	// noColumns pins every property read to the per-vertex map and
-	// disables the column prefilter, leaving the frozen columns unused —
-	// the A/B switch the columnar equivalence suite and benchmarks use.
-	// Results are byte-identical either way (freeze-time validation
-	// guarantees a column holds exactly what the map holds).
-	noColumns bool
 }
 
 // QueryAggMode reports the aggregation execution strategy the parallel
@@ -219,12 +201,19 @@ func (ex *Executor) observedStream(ctx context.Context, q gql.Query) ([]string, 
 func (ex *Executor) stream(ctx context.Context, q gql.Query) ([]string, iter.Seq2[Row, error], error) {
 	switch q := q.(type) {
 	case *gql.MatchQuery:
+		// Freeze once, on the caller's goroutine, before any worker
+		// starts: a declared-kind violation surfaces as this query's
+		// error, and every matcher shares the one snapshot.
+		f, err := ex.G.FreezeChecked()
+		if err != nil {
+			return nil, nil, err
+		}
 		if w := ex.effectiveWorkers(); w > 1 {
-			if cols, body, ok := ex.streamMatchParallel(ctx, q, w); ok {
+			if cols, body, ok := ex.streamMatchParallel(ctx, q, f, w); ok {
 				return cols, body, nil
 			}
 		}
-		return ex.streamMatchSeq(ctx, q)
+		return ex.streamMatchSeq(ctx, q, f)
 	case *gql.SelectQuery:
 		return ex.streamSelect(ctx, q)
 	}
@@ -243,9 +232,9 @@ func returnCols(items []gql.ReturnItem) []string {
 // streamMatchSeq enumerates pattern matches on the sequential matcher
 // and streams the projected rows, with Cypher-style implicit grouping
 // when aggregates appear (aggregation is blocking: grouped rows stream
-// only after the match completes). This is the semantic reference the
-// parallel path reproduces.
-func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery) ([]string, iter.Seq2[Row, error], error) {
+// only after the match completes). The parallel path reproduces its
+// output row for row.
+func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) ([]string, iter.Seq2[Row, error], error) {
 	cols := returnCols(q.Return)
 	if ex.Prof != nil {
 		ex.Prof.Workers = 1
@@ -253,10 +242,10 @@ func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery) ([]st
 	}
 	body := func(yield func(Row, error) bool) {
 		matchStart := time.Now()
-		agg := newAggregator(q.Return, nil, ex.noColumns)
-		m := ex.newMatcher(ctx, q)
+		agg := newAggregator(q.Return, nil)
+		m := ex.newMatcher(ctx, q, f)
 		defer m.flushPropReads(ex.Metrics)
-		if pf := ex.columnPrefilter(q); pf != nil {
+		if pf := columnPrefilter(q, f); pf != nil {
 			m.firstCands = pf.filter(ex.G.VerticesOfType(q.Patterns[0].Nodes[0].Type), ex.Metrics)
 		}
 		rows := 0
@@ -351,9 +340,9 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	tailStart := time.Now()
 	out := &Result{Cols: returnCols(q.Items)}
 
-	agg := newAggregator(q.Items, q.GroupBy, ex.noColumns)
+	agg := newAggregator(q.Items, q.GroupBy)
 	env := make(map[string]Value, len(sub.Cols))
-	sc := mapScope{env: env, noCols: ex.noColumns}
+	sc := mapScope{env: env}
 	for _, row := range sub.Rows {
 		for i, c := range sub.Cols {
 			env[c] = row[i]
@@ -398,7 +387,7 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	}
 	if len(q.OrderBy) > 0 {
 		orderStart := time.Now()
-		if err := orderRows(out, q.OrderBy, ex.noColumns); err != nil {
+		if err := orderRows(out, q.OrderBy); err != nil {
 			return nil, err
 		}
 		if ex.Prof != nil {
@@ -414,9 +403,9 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	return out, nil
 }
 
-func orderRows(r *Result, order []gql.OrderItem, noCols bool) error {
+func orderRows(r *Result, order []gql.OrderItem) error {
 	env := make(map[string]Value, len(r.Cols))
-	sc := mapScope{env: env, noCols: noCols}
+	sc := mapScope{env: env}
 	keys := make([][]Value, len(r.Rows))
 	for ri, row := range r.Rows {
 		for i, c := range r.Cols {

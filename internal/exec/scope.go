@@ -12,8 +12,7 @@ import (
 // paths (SELECT rows, aggregation representative rows) that genuinely
 // hold maps. prop is part of the interface so each scope decides how a
 // property access reads storage: the matcher routes vertex reads
-// through the frozen columns (and counts hits vs map fallbacks), a
-// noCols scope pins the map path for the A/B equivalence suites.
+// through the frozen columns and counts hits vs map fallbacks.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)
@@ -29,8 +28,7 @@ type scope interface {
 // mapScope is the scope over a plain environment map: SELECT row
 // columns, aggregation representative rows.
 type mapScope struct {
-	env    map[string]Value
-	noCols bool
+	env map[string]Value
 }
 
 func (s mapScope) lookup(name string) (Value, bool) {
@@ -39,7 +37,7 @@ func (s mapScope) lookup(name string) (Value, bool) {
 }
 
 func (s mapScope) prop(base Value, key string) (Value, error) {
-	return readProp(base, key, !s.noCols, nil, nil)
+	return readProp(base, key, nil, nil)
 }
 
 func (s mapScope) snapshot() map[string]Value {
@@ -51,24 +49,21 @@ func (s mapScope) snapshot() map[string]Value {
 }
 
 // readProp reads one property. Vertex reads prefer the graph's frozen
-// columns when cols is set and a frozen view has already been built
-// (CachedFrozen never builds one mid-evaluation): a covered read is two
-// flat array indexes returning the exact boxed value the property map
-// holds. Uncovered or column-disabled vertex reads fall back to the
-// map. Edge properties always read the map (edge columns are not
+// columns when a frozen view has already been built (CachedFrozen never
+// builds one mid-evaluation): a covered read is two flat array indexes
+// returning the exact boxed value the property map holds. Uncovered
+// vertex reads fall back to the map. Edge properties always read the map (edge columns are not
 // built). colReads/mapReads, when non-nil, count covered vertex reads
 // vs vertex map fallbacks — the columnar-usage metrics.
-func readProp(base Value, key string, cols bool, colReads, mapReads *int64) (Value, error) {
+func readProp(base Value, key string, colReads, mapReads *int64) (Value, error) {
 	switch base := base.(type) {
 	case VertexRef:
-		if cols {
-			if f := base.G.CachedFrozen(); f != nil {
-				if v, ok := f.VertexPropColumnar(base.ID, key); ok {
-					if colReads != nil {
-						*colReads++
-					}
-					return v, nil
+		if f := base.G.CachedFrozen(); f != nil {
+			if v, ok := f.VertexPropColumnar(base.ID, key); ok {
+				if colReads != nil {
+					*colReads++
 				}
+				return v, nil
 			}
 		}
 		if mapReads != nil {

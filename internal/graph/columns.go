@@ -17,8 +17,8 @@ import (
 // contradicts its declaration (float64 under PropInt) fails the freeze
 // loudly, so a lying declaration is caught at freeze time, not as a
 // silent misread at scan time. Because every stored value is validated,
-// a column read is byte-identical to the property-map read it replaces;
-// the executor's noColumns switch pins that equivalence in tests.
+// a column read is byte-identical to the property-map read it replaces
+// (the executor's reference-evaluator suites pin that equivalence).
 //
 // Alongside the typed arrays each column keeps the original boxed
 // values (`vals`, sharing the property bags' interface words), so a

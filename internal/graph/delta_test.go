@@ -317,38 +317,3 @@ func TestCompactNoops(t *testing.T) {
 		t.Fatal("compacted a tail-less snapshot")
 	}
 }
-
-// TestSetDeltaOverlayDropsTail pins the A/B switch: turning the overlay
-// off drops a snapshot that carries a tail, and subsequent mutations
-// invalidate instead of appending.
-func TestSetDeltaOverlayDropsTail(t *testing.T) {
-	g := NewGraph(nil)
-	a := g.MustAddVertex("V", nil)
-	b := g.MustAddVertex("V", nil)
-	f := g.Freeze()
-	g.MustAddEdge(a, b, "E", nil)
-	if g.CachedFrozen() != f {
-		t.Fatal("overlay mutation dropped the snapshot")
-	}
-	g.SetDeltaOverlay(false)
-	if g.CachedFrozen() != nil {
-		t.Fatal("disabling the overlay kept a tailed snapshot")
-	}
-	if g.DeltaOverlayEnabled() {
-		t.Fatal("DeltaOverlayEnabled after SetDeltaOverlay(false)")
-	}
-	f2 := g.Freeze()
-	g.MustAddEdge(b, a, "E", nil)
-	if g.CachedFrozen() != nil {
-		t.Fatal("noDelta mutation kept the snapshot")
-	}
-	if f2.NumEdges() != 1 {
-		t.Fatalf("noDelta snapshot mutated: |E|=%d", f2.NumEdges())
-	}
-	g.SetDeltaOverlay(true)
-	f3 := g.Freeze()
-	g.MustAddEdge(a, b, "E", nil)
-	if g.CachedFrozen() != f3 {
-		t.Fatal("re-enabled overlay did not append to the snapshot")
-	}
-}

@@ -37,12 +37,10 @@ func CSRBuilds() int64 { return csrBuilds.Load() }
 // a delta overlay to the cached view (delta.go): the tail merges behind
 // every accessor here, so the snapshot tracks the live graph without a
 // rebuild, and compaction periodically folds the tail into a fresh base
-// CSR. With the overlay disabled (Graph.SetDeltaOverlay(false)),
-// mutation invalidates the cache instead. A graph still being loaded
-// may be frozen early at no correctness cost — but the intended
-// lifecycle is freeze-after-load: the loader (graph.Load), the catalog
-// (each landed view), and the executor all freeze once and then mostly
-// read.
+// CSR. A graph still being loaded may be frozen early at no correctness
+// cost — but the intended lifecycle is freeze-after-load: the loader
+// (graph.Load), the catalog (each landed view), and the executor all
+// freeze once and then mostly read.
 type Frozen struct {
 	g *Graph
 
