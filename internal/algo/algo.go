@@ -9,7 +9,8 @@
 // index-addressed bitsets instead of map[VertexID]bool visited sets —
 // the storage layout that removed the allocation bottleneck from the
 // k-hop hot path. Results are byte-identical to the historical
-// append-mode implementations (same vertices, same order).
+// map-based implementations (same vertices, same order), kept as the
+// test-only reference kernels.
 //
 // The Traversal type bundles a frozen graph with reusable scratch state
 // (visited bitset, frontier arrays, result buffer), so a loop over many

@@ -10,23 +10,42 @@ import (
 	"kaskade/internal/graph"
 )
 
-// --- append-mode reference implementations ---
+// --- edge-log reference implementations ---
 //
-// These are the historical map-based kernels (pre-CSR), kept verbatim
-// as the semantic reference the frozen implementations must reproduce
-// byte-identically (same vertices, same order). PathLengths carries the
-// current skip-missing-property semantics so the reference isolates the
-// storage change from the (separately pinned) semantic fix.
+// These are the historical map-based kernels (pre-CSR), kept as the
+// semantic reference the frozen implementations must reproduce
+// byte-identically (same vertices, same order). They read adjacency from
+// a refGraph, built from the edge log alone, never from Frozen.
+// PathLengths carries the current skip-missing-property semantics so the
+// reference isolates the storage change from the (separately pinned)
+// semantic fix.
 
-func kHopRef(g *graph.Graph, src graph.VertexID, k int, dir Direction) []graph.VertexID {
+// refGraph is a graph plus its naive adjacency: out[v] lists the edges
+// with From == v and in[v] those with To == v, in edge-ID order.
+type refGraph struct {
+	*graph.Graph
+	out, in [][]graph.EdgeID
+}
+
+func newRefGraph(g *graph.Graph) refGraph {
+	n := g.NumVertices()
+	r := refGraph{Graph: g, out: make([][]graph.EdgeID, n), in: make([][]graph.EdgeID, n)}
+	g.EachEdge(func(e *graph.Edge) {
+		r.out[e.From] = append(r.out[e.From], e.ID)
+		r.in[e.To] = append(r.in[e.To], e.ID)
+	})
+	return r
+}
+
+func kHopRef(g refGraph, src graph.VertexID, k int, dir Direction) []graph.VertexID {
 	if k < 1 {
 		return nil
 	}
 	edgesOf := func(v graph.VertexID) []graph.EdgeID {
 		if dir == Forward {
-			return g.Out(v)
+			return g.out[v]
 		}
-		return g.In(v)
+		return g.in[v]
 	}
 	neighbor := func(eid graph.EdgeID) graph.VertexID {
 		if dir == Forward {
@@ -54,7 +73,7 @@ func kHopRef(g *graph.Graph, src graph.VertexID, k int, dir Direction) []graph.V
 	return out
 }
 
-func pathLengthsRef(g *graph.Graph, src graph.VertexID, k int, prop string) map[graph.VertexID]int64 {
+func pathLengthsRef(g refGraph, src graph.VertexID, k int, prop string) map[graph.VertexID]int64 {
 	dist := make(map[graph.VertexID]int64)
 	type item struct {
 		v    graph.VertexID
@@ -69,7 +88,7 @@ func pathLengthsRef(g *graph.Graph, src graph.VertexID, k int, prop string) map[
 		if cur.hops == k {
 			continue
 		}
-		for _, eid := range g.Out(cur.v) {
+		for _, eid := range g.out[cur.v] {
 			e := g.Edge(eid)
 			ts, ok := e.Prop(prop).(int64)
 			if !ok {
@@ -92,7 +111,7 @@ func pathLengthsRef(g *graph.Graph, src graph.VertexID, k int, prop string) map[
 	return dist
 }
 
-func labelPropagationRef(g *graph.Graph, passes int) []int64 {
+func labelPropagationRef(g refGraph, passes int) []int64 {
 	n := g.NumVertices()
 	labels := make([]int64, n)
 	for i := range labels {
@@ -105,10 +124,10 @@ func labelPropagationRef(g *graph.Graph, passes int) []int64 {
 		for v := 0; v < n; v++ {
 			clear(counts)
 			id := graph.VertexID(v)
-			for _, eid := range g.Out(id) {
+			for _, eid := range g.out[id] {
 				counts[labels[g.Edge(eid).To]]++
 			}
-			for _, eid := range g.In(id) {
+			for _, eid := range g.in[id] {
 				counts[labels[g.Edge(eid).From]]++
 			}
 			if len(counts) == 0 {
@@ -134,14 +153,14 @@ func labelPropagationRef(g *graph.Graph, passes int) []int64 {
 	return labels
 }
 
-func reachableRef(g *graph.Graph, src graph.VertexID) []graph.VertexID {
+func reachableRef(g refGraph, src graph.VertexID) []graph.VertexID {
 	visited := map[graph.VertexID]bool{src: true}
 	stack := []graph.VertexID{src}
 	var out []graph.VertexID
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, eid := range g.Out(v) {
+		for _, eid := range g.out[v] {
 			n := g.Edge(eid).To
 			if !visited[n] {
 				visited[n] = true
@@ -195,6 +214,7 @@ func sameVertexSlice(t *testing.T, what string, want, got []graph.VertexID) {
 func TestFrozenKernelsMatchAppendReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		g := randomGraph(t, seed, 300, 1200)
+		ref := newRefGraph(g)
 		srcs := make([]graph.VertexID, 0, 40)
 		for i := 0; i < 40; i++ {
 			srcs = append(srcs, graph.VertexID((i*17)%g.NumVertices()))
@@ -204,7 +224,7 @@ func TestFrozenKernelsMatchAppendReference(t *testing.T) {
 			for _, dir := range []Direction{Forward, Backward} {
 				// Sequential Traversal (scratch reuse across sources).
 				for _, s := range srcs {
-					want := kHopRef(g, s, k, dir)
+					want := kHopRef(ref, s, k, dir)
 					sameVertexSlice(t, "KHop", want, tr.KHop(s, k, dir))
 				}
 				// Parallel per-source fan-out, deterministic merge.
@@ -214,13 +234,13 @@ func TestFrozenKernelsMatchAppendReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, s := range srcs {
-						sameVertexSlice(t, "KHopNeighborhoods", kHopRef(g, s, k, dir), got[i])
+						sameVertexSlice(t, "KHopNeighborhoods", kHopRef(ref, s, k, dir), got[i])
 					}
 				}
 			}
 			// PathLengths: map equality (order-free by construction).
 			for _, s := range srcs[:10] {
-				want := pathLengthsRef(g, s, k, "ts")
+				want := pathLengthsRef(ref, s, k, "ts")
 				got := PathLengths(g, s, k, "ts")
 				if len(want) != len(got) {
 					t.Fatalf("PathLengths(%d,k=%d): %d entries, want %d", s, k, len(got), len(want))
@@ -237,7 +257,7 @@ func TestFrozenKernelsMatchAppendReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i, s := range srcs[:10] {
-					want := pathLengthsRef(g, s, k, "ts")
+					want := pathLengthsRef(ref, s, k, "ts")
 					if len(want) != len(multi[i]) {
 						t.Fatalf("PathLengthsMulti workers=%d src=%d: %d entries, want %d", workers, s, len(multi[i]), len(want))
 					}
@@ -251,10 +271,10 @@ func TestFrozenKernelsMatchAppendReference(t *testing.T) {
 		}
 		// Reachable.
 		for _, s := range srcs[:10] {
-			sameVertexSlice(t, "Reachable", reachableRef(g, s), Reachable(g, s))
+			sameVertexSlice(t, "Reachable", reachableRef(ref, s), Reachable(g, s))
 		}
 		// Label propagation, sequential and chunk-parallel.
-		want := labelPropagationRef(g, 10)
+		want := labelPropagationRef(ref, 10)
 		for _, workers := range []int{1, 4} {
 			got, err := LabelPropagationParallel(context.Background(), g, 10, "", workers)
 			if err != nil {
@@ -395,18 +415,19 @@ func TestLabelPropagationAllocations(t *testing.T) {
 }
 
 // BenchmarkAlgoKHop prices the frozen bitset k-hop against the
-// map-based append-mode reference (the Fig. 7 Q2/Q3 hot path).
+// map-based edge-log reference (the Fig. 7 Q2/Q3 hot path).
 func BenchmarkAlgoKHop(b *testing.B) {
 	g := randomGraph(b, 3, 2000, 12000)
 	srcs := make([]graph.VertexID, 100)
 	for i := range srcs {
 		srcs[i] = graph.VertexID(i * 13 % g.NumVertices())
 	}
+	ref := newRefGraph(g)
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, s := range srcs {
-				kHopRef(g, s, 4, Forward)
+				kHopRef(ref, s, 4, Forward)
 			}
 		}
 	})
@@ -423,13 +444,14 @@ func BenchmarkAlgoKHop(b *testing.B) {
 }
 
 // BenchmarkAlgoLabelPropagation prices a label-propagation pass on the
-// frozen layout against the append-mode reference (Q7).
+// frozen layout against the edge-log reference (Q7).
 func BenchmarkAlgoLabelPropagation(b *testing.B) {
 	g := randomGraph(b, 4, 3000, 18000)
+	ref := newRefGraph(g)
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			labelPropagationRef(g, 10)
+			labelPropagationRef(ref, 10)
 		}
 	})
 	b.Run("frozen", func(b *testing.B) {
@@ -451,11 +473,12 @@ func BenchmarkAlgoPathLengths(b *testing.B) {
 	for i := range srcs {
 		srcs[i] = graph.VertexID(i * 31 % g.NumVertices())
 	}
+	ref := newRefGraph(g)
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, s := range srcs {
-				pathLengthsRef(g, s, 4, "ts")
+				pathLengthsRef(ref, s, 4, "ts")
 			}
 		}
 	})

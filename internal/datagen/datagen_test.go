@@ -154,10 +154,11 @@ func TestPrefix(t *testing.T) {
 		t.Errorf("prefix has %d vertices for 100 edges", sub.NumVertices())
 	}
 	// Every prefix vertex is incident to at least one edge.
-	for i := 0; i < sub.NumVertices(); i++ {
-		id := graph.VertexID(i)
-		if sub.OutDegree(id) == 0 && sub.InDegree(id) == 0 {
-			t.Fatalf("isolated vertex %d in prefix", id)
+	incident := make([]bool, sub.NumVertices())
+	sub.EachEdge(func(e *graph.Edge) { incident[e.From], incident[e.To] = true, true })
+	for i, ok := range incident {
+		if !ok {
+			t.Fatalf("isolated vertex %d in prefix", i)
 		}
 	}
 	// Prefix larger than the graph clamps.

@@ -23,7 +23,11 @@
 // rematerialization, so the order is part of the contract.
 package delta
 
-import "kaskade/internal/graph"
+import (
+	"slices"
+
+	"kaskade/internal/graph"
+)
 
 // Edge is one view-delta record: a contracted k-hop edge to insert,
 // with base-graph endpoint IDs and the aggregated path timestamp.
@@ -66,22 +70,22 @@ func EdgeDeltas(g *graph.Graph, eid graph.EdgeID, cfg Config) map[int][]Edge {
 			maxK = k
 		}
 	}
-	e := g.Edge(eid)
+	f := g.Freeze()
 	allow := typeFilter(cfg.EdgeTypes)
-	if maxK == 0 || !allow(e.Type) {
+	if maxK == 0 || !allow(f.EdgeTypeOf(eid)) {
 		return out
 	}
-	prefixes := collect(g, e.From, true, maxK-1, eid, allow)
-	suffixes := collect(g, e.To, false, maxK-1, eid, allow)
-	baseTS := tsOf(e)
+	prefixes := collect(f, f.From(eid), true, maxK-1, eid, allow)
+	suffixes := collect(f, f.To(eid), false, maxK-1, eid, allow)
+	baseTS := tsOf(f.Edge(eid))
 	for _, k := range cfg.Ks {
 		for i := 0; i <= k-1; i++ {
 			for _, p := range prefixes[i] {
-				if cfg.SrcType != "" && g.Vertex(p.end).Type != cfg.SrcType {
+				if cfg.SrcType != "" && f.VertexTypeOf(p.end) != cfg.SrcType {
 					continue
 				}
 				for _, s := range suffixes[k-1-i] {
-					if cfg.DstType != "" && g.Vertex(s.end).Type != cfg.DstType {
+					if cfg.DstType != "" && f.VertexTypeOf(s.end) != cfg.DstType {
 						continue
 					}
 					if !disjoint(p.edges, s.edges) {
@@ -108,48 +112,43 @@ func EdgeDeltas(g *graph.Graph, eid graph.EdgeID, cfg Config) map[int][]Edge {
 // grouped by length, each group in DFS preorder. Preorder restricted to
 // one depth is exactly the order a depth-limited DFS emits its leaves,
 // which is what makes the assembled per-k deltas match the historical
-// nested walk.
-func collect(g *graph.Graph, start graph.VertexID, back bool, maxLen int, skip graph.EdgeID, allow func(string) bool) [][]path {
+// nested walk. Edge uniqueness is a scan of the walk's own stack (plus
+// skip, the new edge): walks are at most maxLen = maxK-1 edges long, the
+// same bound that lets disjoint skip a set.
+func collect(f *graph.Frozen, start graph.VertexID, back bool, maxLen int, skip graph.EdgeID, allow func(string) bool) [][]path {
 	byLen := make([][]path, maxLen+1)
 	byLen[0] = []path{{end: start}}
 	if maxLen == 0 {
 		return byLen
 	}
-	used := map[graph.EdgeID]bool{skip: true}
 	stack := make([]graph.EdgeID, 0, maxLen)
 	var walk func(at graph.VertexID, ts int64)
 	walk = func(at graph.VertexID, ts int64) {
 		if len(stack) == maxLen {
 			return
 		}
-		row := g.Out(at)
+		row := f.Out(at)
 		if back {
-			row = g.In(at)
+			row = f.In(at)
 		}
 		for _, eid := range row {
-			if used[eid] {
+			if eid == skip || slices.Contains(stack, eid) || !allow(f.EdgeTypeOf(eid)) {
 				continue
 			}
-			e := g.Edge(eid)
-			if !allow(e.Type) {
-				continue
-			}
-			nts := tsOf(e)
+			nts := tsOf(f.Edge(eid))
 			if len(stack) > 0 {
 				nts = maxInt64(nts, ts)
 			}
-			used[eid] = true
 			stack = append(stack, eid)
-			next := e.To
+			next := f.To(eid)
 			if back {
-				next = e.From
+				next = f.From(eid)
 			}
 			byLen[len(stack)] = append(byLen[len(stack)], path{
 				end: next, edges: append([]graph.EdgeID(nil), stack...), ts: nts,
 			})
 			walk(next, nts)
 			stack = stack[:len(stack)-1]
-			used[eid] = false
 		}
 	}
 	walk(start, 0)

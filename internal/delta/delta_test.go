@@ -75,8 +75,9 @@ func TestEdgeDeltasSharedFrontier(t *testing.T) {
 }
 
 // TestEdgeDeltasEdgeUniqueness pins path edge-uniqueness across
-// prefix+edge+suffix on a 2-cycle: the back edge may not be reused on
-// both sides of the new edge.
+// prefix+edge+suffix on a 2-cycle (the back edge may not be reused on
+// both sides of the new edge) and within one walk on a self-loop (the
+// loop may not be taken twice).
 func TestEdgeDeltasEdgeUniqueness(t *testing.T) {
 	g := graph.NewGraph(nil)
 	a := g.MustAddVertex("V", nil)
@@ -91,6 +92,17 @@ func TestEdgeDeltasEdgeUniqueness(t *testing.T) {
 	// k=3 would need the old edge on both sides of the new one.
 	if len(des[3]) != 0 {
 		t.Fatalf("k=3 reused an edge: %v", des[3])
+	}
+
+	h := graph.NewGraph(nil)
+	c := h.MustAddVertex("V", nil)
+	d := h.MustAddVertex("V", nil)
+	h.MustAddEdge(c, c, "E", nil)
+	eid = h.MustAddEdge(c, d, "E", nil)
+	des = EdgeDeltas(h, eid, Config{Ks: []int{2, 3}})
+	// k=2: c->(loop)->c->(new)->d; k=3 would need the loop twice.
+	if len(des[2]) != 1 || len(des[3]) != 0 {
+		t.Fatalf("self-loop deltas: k=2 %v, k=3 %v; want one and none", des[2], des[3])
 	}
 }
 

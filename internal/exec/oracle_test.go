@@ -17,12 +17,13 @@ import (
 // checked against. It shares the parser and the expression semantics
 // with the engine (evalExpr, evalWithAggs, compareValues, and the
 // accumulators' add/result) but none of its storage or strategy code:
-// patterns match by recursive backtracking over Graph.Out/In with
-// per-edge type filters and a used-edge map, bindings live in a plain
-// map, properties come from the Vertex/Edge property bags, and grouping
-// is a linear scan over groups in first-seen order. It never freezes
-// the graph, so it reads the same logical graph whatever state the
-// engine's snapshot (base CSR, delta tail) is in.
+// patterns match by recursive backtracking over adjacency rows built
+// from the edge log (Graph.EachEdge) with per-edge type filters and a
+// used-edge map, bindings live in a plain map, properties come from the
+// Vertex/Edge property bags, and grouping is a linear scan over groups
+// in first-seen order. It never freezes the graph, so it reads the same
+// logical graph whatever state the engine's snapshot (base CSR, delta
+// tail) is in.
 
 // oracleScope is the evaluator scope over a binding map. Property reads
 // go to the property bags only.
@@ -83,6 +84,12 @@ func assertMatchesOracle(t *testing.T, g *graph.Graph, src string) {
 func oracleMatch(g *graph.Graph, q *gql.MatchQuery) (*Result, error) {
 	out := newOracleFold(q.Return, nil)
 	m := &oracleMatcher{g: g, env: oracleScope{}, used: map[graph.EdgeID]bool{}}
+	m.out = make([][]graph.EdgeID, g.NumVertices())
+	m.in = make([][]graph.EdgeID, g.NumVertices())
+	g.EachEdge(func(e *graph.Edge) {
+		m.out[e.From] = append(m.out[e.From], e.ID)
+		m.in[e.To] = append(m.in[e.To], e.ID)
+	})
 	m.done = func() error {
 		if q.Where != nil {
 			ok, err := evalBool(q.Where, m.env)
@@ -177,14 +184,17 @@ func oracleOrder(res *Result, order []gql.OrderItem) error {
 	return nil
 }
 
-// oracleMatcher is the backtracking pattern matcher: env holds the
-// bindings, used the edges taken by the current match (no edge twice
-// per match), and done runs once per complete match.
+// oracleMatcher is the backtracking pattern matcher: out/in are the
+// adjacency rows built from the edge log (edges with From/To == v, in ID
+// order), env holds the bindings, used the edges taken by the current
+// match (no edge twice per match), and done runs once per complete
+// match.
 type oracleMatcher struct {
-	g    *graph.Graph
-	env  oracleScope
-	used map[graph.EdgeID]bool
-	done func() error
+	g       *graph.Graph
+	out, in [][]graph.EdgeID
+	env     oracleScope
+	used    map[graph.EdgeID]bool
+	done    func() error
 }
 
 // bind runs cont with name bound to v, restoring the binding after.
@@ -320,9 +330,9 @@ func (m *oracleMatcher) target(n gql.NodePattern, v graph.VertexID, cont func() 
 // steps lists the unused edges an edge pattern can take from v, in
 // insertion order, filtered by the pattern's type.
 func (m *oracleMatcher) steps(v graph.VertexID, edge gql.EdgePattern) []graph.EdgeID {
-	adj := m.g.Out(v)
+	adj := m.out[v]
 	if edge.Reversed {
-		adj = m.g.In(v)
+		adj = m.in[v]
 	}
 	var out []graph.EdgeID
 	for _, eid := range adj {

@@ -50,12 +50,15 @@ func LastCompactionDuration() time.Duration {
 	return time.Duration(lastCompactionNS.Load())
 }
 
-// typedKey addresses one merged typed-adjacency run: vertex v's edges
-// of interned type t.
+// typedKey addresses one merged adjacency run: vertex v's edges of
+// interned type t, or its whole row when t is allTypes.
 type typedKey struct {
 	v VertexID
 	t int32
 }
+
+// allTypes is the typedKey type of a whole (untyped) adjacency row.
+const allTypes int32 = -1
 
 // tailColumn extends one base property column over the tail vertices of
 // its type. Slots are tail-local (assigned in tail insertion order per
@@ -88,12 +91,12 @@ type overlay struct {
 	edgeFrom []VertexID
 	edgeTo   []VertexID
 
-	// Merged typed-adjacency runs for every (vertex, edge type) pair a
-	// tail edge touched: base run (copied once on first touch) plus the
-	// tail edges in insertion order — the same insertion-order
-	// subsequence invariant the grouped base index provides.
-	outTyped map[typedKey][]EdgeID
-	inTyped  map[typedKey][]EdgeID
+	// Merged adjacency runs for every (vertex, edge type) pair a tail
+	// edge touched, and for the vertex's whole row (allTypes): base run
+	// (copied once on first touch) plus the tail edges in insertion
+	// order — the same insertion-order invariant the base CSR provides.
+	outRuns map[typedKey][]EdgeID
+	inRuns  map[typedKey][]EdgeID
 
 	// Tail column extensions, keyed by base vertex-type ID, parallel to
 	// colsByVType[tid]. tailSlot maps a tail vertex to its slot within
@@ -111,15 +114,15 @@ func (f *Frozen) ensureOverlay() *overlay {
 		return f.ov
 	}
 	ov := &overlay{
-		baseNV:   len(f.vtypeOf),
-		baseNE:   len(f.etypeOf),
-		vtypes:   append([]string(nil), f.vtypes...),
-		etypes:   append([]string(nil), f.etypes...),
-		vtypeID:  make(map[string]int32, len(f.vtypeID)),
-		etypeID:  make(map[string]int32, len(f.etypeID)),
-		outTyped: make(map[typedKey][]EdgeID),
-		inTyped:  make(map[typedKey][]EdgeID),
-		cols:     make(map[int32][]tailColumn),
+		baseNV:  len(f.vtypeOf),
+		baseNE:  len(f.etypeOf),
+		vtypes:  append([]string(nil), f.vtypes...),
+		etypes:  append([]string(nil), f.etypes...),
+		vtypeID: make(map[string]int32, len(f.vtypeID)),
+		etypeID: make(map[string]int32, len(f.etypeID)),
+		outRuns: make(map[typedKey][]EdgeID),
+		inRuns:  make(map[typedKey][]EdgeID),
+		cols:    make(map[int32][]tailColumn),
 	}
 	for t, id := range f.vtypeID {
 		ov.vtypeID[t] = id
@@ -202,7 +205,8 @@ func (ov *overlay) appendColumnSlots(f *Frozen, tid int32, id VertexID) int32 {
 }
 
 // overlayAddEdge lands the freshly appended edge id in f's tail: type
-// interning, flat endpoints, and both endpoints' merged typed runs.
+// interning, flat endpoints, and both endpoints' merged rows and typed
+// runs.
 func (f *Frozen) overlayAddEdge(id EdgeID) {
 	ov := f.ensureOverlay()
 	e := &f.g.edges[id]
@@ -215,30 +219,35 @@ func (f *Frozen) overlayAddEdge(id EdgeID) {
 	ov.etypeOf = append(ov.etypeOf, t)
 	ov.edgeFrom = append(ov.edgeFrom, e.From)
 	ov.edgeTo = append(ov.edgeTo, e.To)
-	ov.appendTypedRun(f, true, e.From, t, id)
-	ov.appendTypedRun(f, false, e.To, t, id)
+	for _, rt := range [2]int32{allTypes, t} {
+		ov.appendRun(&f.out, ov.outRuns, e.From, rt, id)
+		ov.appendRun(&f.in, ov.inRuns, e.To, rt, id)
+	}
 }
 
-// appendTypedRun extends the merged (v, t) run with id, copying the
-// base run on first touch. The merged run stays the insertion-order
-// subsequence of the merged row: base edges precede all tail edges.
-func (ov *overlay) appendTypedRun(f *Frozen, out bool, v VertexID, t int32, id EdgeID) {
-	m := ov.outTyped
-	if !out {
-		m = ov.inTyped
-	}
+// appendRun extends the merged (v, t) run in runs with id, copying the
+// base run on first touch. The merged run stays in insertion order:
+// base edges precede all tail edges.
+func (ov *overlay) appendRun(base *adjacency, runs map[typedKey][]EdgeID, v VertexID, t int32, id EdgeID) {
 	k := typedKey{v: v, t: t}
-	run, ok := m[k]
+	run, ok := runs[k]
 	if !ok && int(v) < ov.baseNV {
-		var base []EdgeID
-		if out {
-			base = typedRun(f.outGroupOff, f.outGroups, f.outOff, f.outTyped, v, t)
-		} else {
-			base = typedRun(f.inGroupOff, f.inGroups, f.inOff, f.inTyped, v, t)
-		}
-		run = append(make([]EdgeID, 0, len(base)+1), base...)
+		b := base.run(v, t)
+		run = append(make([]EdgeID, 0, len(b)+1), b...)
 	}
-	m[k] = append(run, id)
+	runs[k] = append(run, id)
+}
+
+// lookup resolves v's run of type t (allTypes: the whole row) through
+// runs, one direction's merged runs: a pair a tail edge touched reads
+// its merged run, and a tail vertex has no other edges. ok is false
+// when the base index holds the answer.
+func (ov *overlay) lookup(runs map[typedKey][]EdgeID, v VertexID, t int32) ([]EdgeID, bool) {
+	if run, ok := runs[typedKey{v: v, t: t}]; ok {
+		overlayReads.Add(1)
+		return run, true
+	}
+	return nil, int(v) >= ov.baseNV
 }
 
 // checkTailProps eagerly validates declared properties for a vertex

@@ -6,13 +6,27 @@ import (
 	"testing"
 )
 
-// assertFrozenMatchesGraph compares every Frozen accessor against the
-// append-mode accessors of ref, which must hold identical content. It
-// is the overlay correctness oracle: ref is a never-frozen twin, so a
-// merged base+tail read that diverges from insertion-order truth fails
-// here.
+// adjacencyRef is the naive reference adjacency: out[v] lists the edges
+// with From == v and in[v] those with To == v, in edge-ID order, read
+// from the edge log alone.
+func adjacencyRef(g *Graph) (out, in [][]EdgeID) {
+	out = make([][]EdgeID, g.NumVertices())
+	in = make([][]EdgeID, g.NumVertices())
+	g.EachEdge(func(e *Edge) {
+		out[e.From] = append(out[e.From], e.ID)
+		in[e.To] = append(in[e.To], e.ID)
+	})
+	return out, in
+}
+
+// assertFrozenMatchesGraph compares every Frozen accessor against ref's
+// records and the adjacencyRef built from its edge log; ref must hold
+// the same content as f's graph. It is the overlay correctness oracle:
+// a merged base+tail read that diverges from insertion-order truth
+// fails here.
 func assertFrozenMatchesGraph(t *testing.T, f *Frozen, ref *Graph) {
 	t.Helper()
+	refOut, refIn := adjacencyRef(ref)
 	if f.NumVertices() != ref.NumVertices() || f.NumEdges() != ref.NumEdges() {
 		t.Fatalf("sizes: frozen %d/%d, ref %d/%d",
 			f.NumVertices(), f.NumEdges(), ref.NumVertices(), ref.NumEdges())
@@ -27,24 +41,24 @@ func assertFrozenMatchesGraph(t *testing.T, f *Frozen, ref *Graph) {
 		if f.VertexTypeOf(id) != ref.Vertex(id).Type {
 			t.Fatalf("v%d: type %q, want %q", v, f.VertexTypeOf(id), ref.Vertex(id).Type)
 		}
-		if got, want := f.Out(id), ref.Out(id); !sameEdges(got, want) {
+		if got, want := f.Out(id), refOut[v]; !sameEdges(got, want) {
 			t.Fatalf("v%d Out = %v, want %v", v, got, want)
 		}
-		if got, want := f.In(id), ref.In(id); !sameEdges(got, want) {
+		if got, want := f.In(id), refIn[v]; !sameEdges(got, want) {
 			t.Fatalf("v%d In = %v, want %v", v, got, want)
 		}
-		if f.OutDegree(id) != ref.OutDegree(id) || f.InDegree(id) != ref.InDegree(id) {
+		if f.OutDegree(id) != len(refOut[v]) || f.InDegree(id) != len(refIn[v]) {
 			t.Fatalf("v%d degrees (%d,%d), want (%d,%d)",
-				v, f.OutDegree(id), f.InDegree(id), ref.OutDegree(id), ref.InDegree(id))
+				v, f.OutDegree(id), f.InDegree(id), len(refOut[v]), len(refIn[v]))
 		}
 		for _, et := range etypes {
 			var wantOut, wantIn []EdgeID
-			for _, eid := range ref.Out(id) {
+			for _, eid := range refOut[v] {
 				if ref.Edge(eid).Type == et {
 					wantOut = append(wantOut, eid)
 				}
 			}
-			for _, eid := range ref.In(id) {
+			for _, eid := range refIn[v] {
 				if ref.Edge(eid).Type == et {
 					wantIn = append(wantIn, eid)
 				}
@@ -159,6 +173,55 @@ func TestDeltaOverlayMatchesFreshFreeze(t *testing.T) {
 	}
 	if LastCompactionDuration() <= 0 {
 		t.Fatal("last-compaction duration not recorded")
+	}
+}
+
+// TestDeltaOverlayVertexKinds pins the three kinds of row the overlay
+// merges, before and after Compact: a base vertex whose row gains tail
+// edges, a tail vertex with no edges, and a tail vertex with edges in
+// both directions (a self-loop included).
+func TestDeltaOverlayVertexKinds(t *testing.T) {
+	g := NewGraph(nil)
+	base := g.MustAddVertex("V", nil)
+	other := g.MustAddVertex("V", nil)
+	e0 := g.MustAddEdge(base, other, "E", nil)
+	f := g.Freeze()
+	e1 := g.MustAddEdge(base, other, "F", nil)
+	lone := g.MustAddVertex("W", nil)
+	both := g.MustAddVertex("W", nil)
+	e2 := g.MustAddEdge(base, both, "E", nil)
+	e3 := g.MustAddEdge(both, other, "E", nil)
+	e4 := g.MustAddEdge(both, both, "F", nil)
+	if tv, te := f.TailSize(); tv != 2 || te != 4 {
+		t.Fatalf("TailSize = (%d, %d), want (2, 4)", tv, te)
+	}
+	cases := []struct {
+		name    string
+		v       VertexID
+		out, in []EdgeID
+	}{
+		{"base vertex with tail edges", base, []EdgeID{e0, e1, e2}, nil},
+		{"tail vertex without edges", lone, nil, nil},
+		{"tail vertex with edges both ways", both, []EdgeID{e3, e4}, []EdgeID{e2, e4}},
+	}
+	for _, stage := range []string{"overlay", "compacted"} {
+		if stage == "compacted" {
+			if err := g.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if f = g.Freeze(); f.ov != nil {
+				t.Fatal("compacted snapshot kept its overlay")
+			}
+		}
+		for _, c := range cases {
+			if got := f.Out(c.v); !sameEdges(got, c.out) {
+				t.Fatalf("%s, %s: Out = %v, want %v", stage, c.name, got, c.out)
+			}
+			if got := f.In(c.v); !sameEdges(got, c.in) {
+				t.Fatalf("%s, %s: In = %v, want %v", stage, c.name, got, c.in)
+			}
+		}
+		assertFrozenMatchesGraph(t, f, g)
 	}
 }
 

@@ -16,20 +16,19 @@ var csrBuilds atomic.Int64
 // CSRBuilds returns the process-wide count of frozen CSR index builds.
 func CSRBuilds() int64 { return csrBuilds.Load() }
 
-// Frozen is an immutable, cache-friendly view of a Graph: adjacency is
-// laid out in flat CSR (compressed sparse row) arrays instead of the
-// loader's pointer-heavy per-vertex slices, edge endpoints and type
-// labels are interned into dense parallel arrays, and every vertex's
-// out- and in-edges are additionally grouped by edge type so a typed
-// traversal step reads one contiguous slice with no per-edge filtering.
+// Frozen is an immutable, cache-friendly view of a Graph and the only
+// owner of its adjacency: rows are laid out in flat CSR (compressed
+// sparse row) arrays, edge endpoints and type labels are interned into
+// dense parallel arrays, and every vertex's out- and in-edges are
+// additionally grouped by edge type so a typed traversal step reads one
+// contiguous slice with no per-edge filtering.
 //
 // A Frozen is derived from its Graph by Freeze and shares the graph's
 // vertex/edge records and property bags read-only; it adds only index
-// structure. All iteration orders are preserved exactly: Out/In return
-// edges in insertion order, OutOfType/InOfType return the insertion-
-// order subsequence of that type, and VerticesOfType matches
-// Graph.VerticesOfType — so an algorithm ported from the append-mode
-// accessors to the frozen ones produces byte-identical results.
+// structure. Iteration orders follow the edge log: Out/In return edges
+// in insertion (edge-ID) order, OutOfType/InOfType return the
+// insertion-order subsequence of that type, and VerticesOfType matches
+// Graph.VerticesOfType.
 //
 // Freeze memoizes: the first call builds the index in O(V+E) and caches
 // it on the graph; later calls return the cached value (one atomic
@@ -58,27 +57,9 @@ type Frozen struct {
 	edgeFrom []VertexID
 	edgeTo   []VertexID
 
-	// CSR adjacency in insertion order: vertex v's out-edges are
-	// outEdges[outOff[v]:outOff[v+1]], matching Graph.Out(v) exactly.
-	outOff   []int32
-	outEdges []EdgeID
-	inOff    []int32
-	inEdges  []EdgeID
-
-	// Type-grouped adjacency: outTyped holds each vertex's row permuted
-	// so edges of one type are contiguous (insertion order within a
-	// group), occupying the same [outOff[v], outOff[v+1]) span as the
-	// flat row. The groups present at v are outGroups[outGroupOff[v]:
-	// outGroupOff[v+1]] — one (type, start) record per distinct type in
-	// the row, so memory is O(V+E) regardless of how many edge types the
-	// graph declares. OutOfType resolves a group with a short linear
-	// scan (vertices rarely carry more than a handful of types).
-	outGroupOff []int32
-	outGroups   []typeGroup
-	outTyped    []EdgeID
-	inGroupOff  []int32
-	inGroups    []typeGroup
-	inTyped     []EdgeID
+	// Base CSR adjacency: out rows hold each vertex's edges with
+	// From == v, in rows those with To == v.
+	out, in adjacency
 
 	// Dense per-type vertex index, aligned with vtypes; the slices are
 	// shared with (and ordered like) Graph.VerticesOfType.
@@ -175,11 +156,8 @@ func buildFrozen(g *Graph) (*Frozen, error) {
 		f.edgeFrom[i] = e.From
 		f.edgeTo[i] = e.To
 	}
-	f.outOff, f.outEdges = flattenAdjacency(g.out, ne)
-	f.inOff, f.inEdges = flattenAdjacency(g.in, ne)
-	nt := len(f.etypes)
-	f.outGroupOff, f.outGroups, f.outTyped = groupByType(f.outOff, f.outEdges, f.etypeOf, nv, nt)
-	f.inGroupOff, f.inGroups, f.inTyped = groupByType(f.inOff, f.inEdges, f.etypeOf, nv, nt)
+	f.out = newAdjacency(f.edgeFrom, f.etypeOf, nv, len(f.etypes))
+	f.in = newAdjacency(f.edgeTo, f.etypeOf, nv, len(f.etypes))
 	f.verticesByType = make([][]VertexID, len(f.vtypes))
 	for i, t := range f.vtypes {
 		f.verticesByType[i] = g.byType[t]
@@ -190,16 +168,64 @@ func buildFrozen(g *Graph) (*Frozen, error) {
 	return f, nil
 }
 
-// flattenAdjacency packs per-vertex edge lists into one offset array and
-// one edge array, preserving per-vertex order.
-func flattenAdjacency(adj [][]EdgeID, ne int) ([]int32, []EdgeID) {
-	off := make([]int32, len(adj)+1)
-	edges := make([]EdgeID, 0, ne)
-	for v, row := range adj {
-		edges = append(edges, row...)
-		off[v+1] = int32(len(edges))
+// adjacency is one direction of the CSR index. Vertex v's row is
+// edges[off[v]:off[v+1]], in insertion (edge-ID) order. typed holds
+// each row permuted so edges of one type are contiguous (insertion
+// order within a group), occupying the same [off[v], off[v+1]) span.
+// The groups present at v are groups[groupOff[v]:groupOff[v+1]] — one
+// (type, start) record per distinct type in the row, so memory is
+// O(V+E) regardless of how many edge types the graph declares.
+type adjacency struct {
+	off      []int32
+	edges    []EdgeID
+	groupOff []int32
+	groups   []typeGroup
+	typed    []EdgeID
+}
+
+// newAdjacency buckets every edge under its endpoint (end[e] is edge
+// e's source or target) with a stable counting sort. Edges are visited
+// in ID order, which is insertion order, so each row lists its edges
+// in insertion order.
+func newAdjacency(end []VertexID, etypeOf []int32, nv, nt int) adjacency {
+	off := make([]int32, nv+1)
+	for _, v := range end {
+		off[v+1]++
 	}
-	return off, edges
+	for v := 0; v < nv; v++ {
+		off[v+1] += off[v]
+	}
+	next := append([]int32(nil), off[:nv]...)
+	edges := make([]EdgeID, len(end))
+	for e, v := range end {
+		edges[next[v]] = EdgeID(e)
+		next[v]++
+	}
+	a := adjacency{off: off, edges: edges}
+	a.groupOff, a.groups, a.typed = groupByType(off, edges, etypeOf, nv, nt)
+	return a
+}
+
+// run returns v's edges of interned type t — its whole row when t is
+// allTypes — contiguous and in insertion order. A typed group is found
+// by a short linear scan (vertices rarely carry more than a handful of
+// types); absent types return nil.
+func (a *adjacency) run(v VertexID, t int32) []EdgeID {
+	if t == allTypes {
+		return a.edges[a.off[v]:a.off[v+1]]
+	}
+	gs := a.groups[a.groupOff[v]:a.groupOff[v+1]]
+	for i, g := range gs {
+		if g.t != t {
+			continue
+		}
+		hi := a.off[v+1]
+		if i+1 < len(gs) {
+			hi = gs[i+1].lo
+		}
+		return a.typed[g.lo:hi]
+	}
+	return nil
 }
 
 // typeGroup records one contiguous same-type run in the type-grouped
@@ -278,49 +304,33 @@ func (f *Frozen) Vertex(id VertexID) *Vertex { return f.g.Vertex(id) }
 // Edge returns the edge record (read-only), like Graph.Edge.
 func (f *Frozen) Edge(id EdgeID) *Edge { return f.g.Edge(id) }
 
-// Out returns the IDs of edges leaving v, in insertion order — the same
-// sequence as Graph.Out(v), read from the flat CSR row. With an overlay,
-// a vertex whose row gained tail edges (or that is itself in the tail)
-// reads the graph's live insertion-order row, which IS the merged
-// base+tail row; untouched vertices stay on the base CSR.
+// Out returns the IDs of edges leaving v, in insertion order, read from
+// the flat CSR row. With an overlay, a row that gained tail edges (or
+// belongs to a tail vertex) reads its merged base+tail run.
 func (f *Frozen) Out(v VertexID) []EdgeID {
-	if ov := f.ov; ov != nil {
-		row := f.g.out[v]
-		if int(v) >= ov.baseNV || int(f.outOff[v+1]-f.outOff[v]) != len(row) {
-			overlayReads.Add(1)
-			return row
+	if f.ov != nil {
+		if run, ok := f.ov.lookup(f.ov.outRuns, v, allTypes); ok {
+			return run
 		}
 	}
-	return f.outEdges[f.outOff[v]:f.outOff[v+1]]
+	return f.out.edges[f.out.off[v]:f.out.off[v+1]]
 }
 
 // In returns the IDs of edges entering v, in insertion order.
 func (f *Frozen) In(v VertexID) []EdgeID {
-	if ov := f.ov; ov != nil {
-		row := f.g.in[v]
-		if int(v) >= ov.baseNV || int(f.inOff[v+1]-f.inOff[v]) != len(row) {
-			overlayReads.Add(1)
-			return row
+	if f.ov != nil {
+		if run, ok := f.ov.lookup(f.ov.inRuns, v, allTypes); ok {
+			return run
 		}
 	}
-	return f.inEdges[f.inOff[v]:f.inOff[v+1]]
+	return f.in.edges[f.in.off[v]:f.in.off[v+1]]
 }
 
 // OutDegree returns the out-degree of v.
-func (f *Frozen) OutDegree(v VertexID) int {
-	if f.ov != nil {
-		return len(f.g.out[v])
-	}
-	return int(f.outOff[v+1] - f.outOff[v])
-}
+func (f *Frozen) OutDegree(v VertexID) int { return len(f.Out(v)) }
 
 // InDegree returns the in-degree of v.
-func (f *Frozen) InDegree(v VertexID) int {
-	if f.ov != nil {
-		return len(f.g.in[v])
-	}
-	return int(f.inOff[v+1] - f.inOff[v])
-}
+func (f *Frozen) InDegree(v VertexID) int { return len(f.In(v)) }
 
 // From returns an edge's source vertex from the flat endpoint array.
 func (f *Frozen) From(e EdgeID) VertexID {
@@ -406,47 +416,22 @@ func (f *Frozen) InOfType(v VertexID, etype string) []EdgeID {
 // type IDs never match a base group, so untouched pairs fall through to
 // the base index correctly.
 func (f *Frozen) OutTyped(v VertexID, t int32) []EdgeID {
-	if ov := f.ov; ov != nil {
-		if run, ok := ov.outTyped[typedKey{v: v, t: t}]; ok {
-			overlayReads.Add(1)
+	if f.ov != nil {
+		if run, ok := f.ov.lookup(f.ov.outRuns, v, t); ok {
 			return run
 		}
-		if int(v) >= ov.baseNV {
-			return nil
-		}
 	}
-	return typedRun(f.outGroupOff, f.outGroups, f.outOff, f.outTyped, v, t)
+	return f.out.run(v, t)
 }
 
 // InTyped is OutTyped for in-edges.
 func (f *Frozen) InTyped(v VertexID, t int32) []EdgeID {
-	if ov := f.ov; ov != nil {
-		if run, ok := ov.inTyped[typedKey{v: v, t: t}]; ok {
-			overlayReads.Add(1)
+	if f.ov != nil {
+		if run, ok := f.ov.lookup(f.ov.inRuns, v, t); ok {
 			return run
 		}
-		if int(v) >= ov.baseNV {
-			return nil
-		}
 	}
-	return typedRun(f.inGroupOff, f.inGroups, f.inOff, f.inTyped, v, t)
-}
-
-// typedRun resolves vertex v's type-t group: a linear scan over the few
-// groups present at v, returning the contiguous run (nil when absent).
-func typedRun(groupOff []int32, groups []typeGroup, off []int32, typed []EdgeID, v VertexID, t int32) []EdgeID {
-	gs := groups[groupOff[v]:groupOff[v+1]]
-	for i, g := range gs {
-		if g.t != t {
-			continue
-		}
-		hi := off[v+1]
-		if i+1 < len(gs) {
-			hi = gs[i+1].lo
-		}
-		return typed[g.lo:hi]
-	}
-	return nil
+	return f.in.run(v, t)
 }
 
 // VerticesOfType returns the vertex IDs with the given type, in

@@ -23,98 +23,12 @@ func randomFrozenGraph(t testing.TB, seed int64, nv, ne int) *Graph {
 }
 
 // TestFrozenPreservesAdjacencyOrder proves the CSR rows byte-identical
-// to the append-mode accessors: Out/In match Graph.Out/In exactly, and
-// OutOfType/InOfType are the insertion-order subsequences a per-edge
+// to the edge log: Out/In list the edges with From/To == v in ID order,
+// and OutOfType/InOfType are the insertion-order subsequences a per-edge
 // type filter would produce.
 func TestFrozenPreservesAdjacencyOrder(t *testing.T) {
 	g := randomFrozenGraph(t, 1, 200, 1500)
-	f := g.Freeze()
-	if f.NumVertices() != g.NumVertices() || f.NumEdges() != g.NumEdges() {
-		t.Fatalf("sizes: frozen %d/%d, graph %d/%d",
-			f.NumVertices(), f.NumEdges(), g.NumVertices(), g.NumEdges())
-	}
-	for v := 0; v < g.NumVertices(); v++ {
-		id := VertexID(v)
-		for _, pair := range []struct {
-			name      string
-			want, got []EdgeID
-			wantDeg   int
-			gotDeg    int
-		}{
-			{"out", g.Out(id), f.Out(id), g.OutDegree(id), f.OutDegree(id)},
-			{"in", g.In(id), f.In(id), g.InDegree(id), f.InDegree(id)},
-		} {
-			if len(pair.want) != len(pair.got) || pair.wantDeg != pair.gotDeg {
-				t.Fatalf("v%d %s: len %d/%d deg %d/%d", v, pair.name,
-					len(pair.got), len(pair.want), pair.gotDeg, pair.wantDeg)
-			}
-			for i := range pair.want {
-				if pair.want[i] != pair.got[i] {
-					t.Fatalf("v%d %s[%d] = %d, want %d", v, pair.name, i, pair.got[i], pair.want[i])
-				}
-			}
-		}
-		// Typed groups == filtered insertion order.
-		for _, et := range []string{"W", "R", "T", "NOPE"} {
-			var want []EdgeID
-			for _, eid := range g.Out(id) {
-				if g.Edge(eid).Type == et {
-					want = append(want, eid)
-				}
-			}
-			got := f.OutOfType(id, et)
-			if len(want) != len(got) {
-				t.Fatalf("v%d OutOfType(%s): %d edges, want %d", v, et, len(got), len(want))
-			}
-			for i := range want {
-				if want[i] != got[i] {
-					t.Fatalf("v%d OutOfType(%s)[%d] = %d, want %d", v, et, i, got[i], want[i])
-				}
-			}
-			var wantIn []EdgeID
-			for _, eid := range g.In(id) {
-				if g.Edge(eid).Type == et {
-					wantIn = append(wantIn, eid)
-				}
-			}
-			gotIn := f.InOfType(id, et)
-			if len(wantIn) != len(gotIn) {
-				t.Fatalf("v%d InOfType(%s): %d edges, want %d", v, et, len(gotIn), len(wantIn))
-			}
-			for i := range wantIn {
-				if wantIn[i] != gotIn[i] {
-					t.Fatalf("v%d InOfType(%s)[%d] = %d, want %d", v, et, i, gotIn[i], wantIn[i])
-				}
-			}
-		}
-	}
-	// Flat endpoint/type arrays match the records.
-	for e := 0; e < g.NumEdges(); e++ {
-		eid := EdgeID(e)
-		ed := g.Edge(eid)
-		if f.From(eid) != ed.From || f.To(eid) != ed.To || f.EdgeTypeOf(eid) != ed.Type {
-			t.Fatalf("edge %d: frozen (%d,%d,%s) != record (%d,%d,%s)",
-				e, f.From(eid), f.To(eid), f.EdgeTypeOf(eid), ed.From, ed.To, ed.Type)
-		}
-	}
-	// Vertex types and the per-type index.
-	for v := 0; v < g.NumVertices(); v++ {
-		if f.VertexTypeOf(VertexID(v)) != g.Vertex(VertexID(v)).Type {
-			t.Fatalf("vertex %d type mismatch", v)
-		}
-	}
-	for _, vt := range append(g.VertexTypes(), "NOPE") {
-		want := g.VerticesOfType(vt)
-		got := f.VerticesOfType(vt)
-		if len(want) != len(got) {
-			t.Fatalf("VerticesOfType(%s): %d, want %d", vt, len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("VerticesOfType(%s)[%d] mismatch", vt, i)
-			}
-		}
-	}
+	assertFrozenMatchesGraph(t, g.Freeze(), g)
 }
 
 // TestFreezeMemoizesAndInvalidates pins the snapshot lifecycle: Freeze

@@ -9,14 +9,17 @@
 // connector views) are new Graph values. After loading, a Graph is safe for
 // concurrent readers.
 //
+// A Graph itself is a log: its vertex and edge records in ID order, plus
+// the per-type vertex index. Adjacency lives only in its Frozen view.
+//
 // # Frozen CSR views
 //
 // Freeze derives a Frozen view: flat CSR offset/edge arrays for out-
 // and in-adjacency, interned type labels, per-vertex edges grouped by
 // edge type (OutOfType returns a contiguous slice with no per-edge
 // filtering), and a dense per-type vertex index. The frozen view shares
-// the graph's records and property bags read-only, preserves every
-// iteration order exactly, and is memoized on the graph — the loader,
+// the graph's records and property bags read-only, lists every row in
+// edge-ID (insertion) order, and is memoized on the graph — the loader,
 // the view catalog, and the executor freeze once after load and then
 // only read.
 //
@@ -72,8 +75,6 @@ type Graph struct {
 	schema   *Schema
 	vertices []Vertex
 	edges    []Edge
-	out      [][]EdgeID // out[v] = edges with From == v, in insertion order
-	in       [][]EdgeID // in[v] = edges with To == v
 	byType   map[string][]VertexID
 	// frozen caches the CSR view built by Freeze. Post-freeze
 	// mutations land in the cached view's tail and compaction swaps in
@@ -119,8 +120,6 @@ func (g *Graph) AddVertex(vtype string, props Properties) (VertexID, error) {
 	}
 	id := VertexID(len(g.vertices))
 	g.vertices = append(g.vertices, Vertex{ID: id, Type: vtype, Props: props})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
 	if g.byType == nil {
 		g.byType = make(map[string][]VertexID)
 	}
@@ -160,8 +159,6 @@ func (g *Graph) AddEdge(from, to VertexID, etype string, props Properties) (Edge
 	}
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{ID: id, From: from, To: to, Type: etype, Props: props})
-	g.out[from] = append(g.out[from], id)
-	g.in[to] = append(g.in[to], id)
 	if f := g.frozen.Load(); f != nil {
 		f.overlayAddEdge(id)
 		g.maybeCompact(f)
@@ -184,18 +181,6 @@ func (g *Graph) Vertex(id VertexID) *Vertex { return &g.vertices[id] }
 
 // Edge returns the edge with the given ID (read-only, like Vertex).
 func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id] }
-
-// Out returns the IDs of edges leaving v, in insertion order.
-func (g *Graph) Out(v VertexID) []EdgeID { return g.out[v] }
-
-// In returns the IDs of edges entering v, in insertion order.
-func (g *Graph) In(v VertexID) []EdgeID { return g.in[v] }
-
-// OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v VertexID) int { return len(g.out[v]) }
-
-// InDegree returns the in-degree of v.
-func (g *Graph) InDegree(v VertexID) int { return len(g.in[v]) }
 
 // VerticesOfType returns the vertex IDs with the given type, in insertion
 // order. The returned slice is shared; callers must not modify it.

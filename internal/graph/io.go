@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -171,8 +172,10 @@ func Load(r io.Reader) (*Graph, error) {
 			if len(fields) != 5 {
 				return nil, fmt.Errorf("graph: line %d: malformed edge record", lineNo)
 			}
-			from, err1 := strconv.Atoi(fields[1])
-			to, err2 := strconv.Atoi(fields[2])
+			// Endpoints are parsed at VertexID's width: a wider value
+			// must be rejected, not truncated onto some other vertex.
+			from, err1 := strconv.ParseInt(fields[1], 10, 32)
+			to, err2 := strconv.ParseInt(fields[2], 10, 32)
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge endpoints", lineNo)
 			}
@@ -228,7 +231,17 @@ func marshalProps(p Properties) ([]byte, error) {
 	if len(p) == 0 {
 		return []byte("{}"), nil
 	}
-	return json.Marshal(p)
+	// json.Marshal writes an integral float64 without a fraction (2.0 as
+	// "2"), which unmarshalProps would read back as int64; spell those
+	// with one decimal so the kind survives a round trip.
+	out := make(map[string]any, len(p))
+	for k, v := range p {
+		if x, ok := v.(float64); ok && x == math.Trunc(x) && math.Abs(x) < 1e21 {
+			v = json.RawMessage(strconv.FormatFloat(x, 'f', 1, 64))
+		}
+		out[k] = v
+	}
+	return json.Marshal(out)
 }
 
 // unmarshalProps decodes a JSON property bag, turning integral JSON

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		},
 	)
 	g := NewGraph(s)
-	j := g.MustAddVertex("Job", Properties{"name": "j1", "CPU": int64(42), "load": 0.5})
+	j := g.MustAddVertex("Job", Properties{"name": "j1", "CPU": int64(42), "load": 0.5, "mem": 2.0})
 	f := g.MustAddVertex("File", nil)
 	g.MustAddEdge(j, f, "W", Properties{"ts": int64(7)})
 	g.MustAddEdge(f, j, "R", nil)
@@ -48,6 +49,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if v.Prop("load") != 0.5 {
 		t.Errorf("load = %v, want 0.5", v.Prop("load"))
+	}
+	if v.Prop("mem") != 2.0 {
+		t.Errorf("mem = %v (%T), want float64 2", v.Prop("mem"), v.Prop("mem"))
 	}
 	if v.Prop("name") != "j1" {
 		t.Errorf("name = %v", v.Prop("name"))
@@ -90,6 +94,9 @@ func TestLoadErrors(t *testing.T) {
 		"bad props":          "V\t0\tJob\t{not json}",
 		"schema after data":  "V\t0\tJob\t{}\nS\t[\"Job\"]\t[]",
 		"edge bad endpoint":  "V\t0\tV\t{}\nE\t0\tx\tT\t{}",
+		// 4294967296 and 4294967297 truncate to vertices 0 and 1.
+		"edge source wraps int32": "V\t0\tV\t{}\nV\t1\tV\t{}\nE\t4294967296\t1\tT\t{}",
+		"edge target wraps int32": "V\t0\tV\t{}\nV\t1\tV\t{}\nE\t0\t4294967297\tT\t{}",
 	}
 	for name, src := range cases {
 		if _, err := Load(strings.NewReader(src)); err == nil {
@@ -114,4 +121,53 @@ func TestLoadEnforcesSchema(t *testing.T) {
 	if _, err := Load(strings.NewReader(src)); err == nil {
 		t.Error("schema-violating vertex accepted")
 	}
+}
+
+// FuzzLoad treats a dataset file as untrusted input: every input either
+// fails to load or yields a graph that Save→Load reproduces exactly and
+// whose Frozen accessors match the edge-log reference.
+func FuzzLoad(f *testing.F) {
+	for _, seed := range []string{
+		"V\t0\tV\t{}\nV\t1\tV\t{}\nE\t4294967296\t1\tx\t{}",
+		"V\t0\tV\t{}\nV\t1\tW\t{\"n\":1}\nE\t0\t1\tT\t{}\nE\t1\t1\tU\t{\"ts\":2.5}\nE\t0\t1\tT\t{}",
+		"S\t[\"Job\",\"File\"]\t[{\"From\":\"Job\",\"To\":\"File\",\"Name\":\"W\"}]\t[{\"type\":\"Job\",\"prop\":\"CPU\",\"kind\":1}]\n" +
+			"V\t0\tJob\t{\"CPU\":4}\nV\t1\tFile\t{}\nE\t0\t1\tW\t{}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := Save(&saved, g); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		back, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("reload of %q: %v", saved.Bytes(), err)
+		}
+		var resaved bytes.Buffer
+		if err := Save(&resaved, back); err != nil {
+			t.Fatalf("Save after reload: %v", err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatalf("Save→Load→Save changed the file:\n%q\n%q", saved.Bytes(), resaved.Bytes())
+		}
+		if g.NumVertices() != back.NumVertices() || g.NumEdges() != back.NumEdges() {
+			t.Fatalf("sizes %d/%d, reloaded %d/%d", g.NumVertices(), g.NumEdges(), back.NumVertices(), back.NumEdges())
+		}
+		for i := 0; i < g.NumVertices(); i++ {
+			if a, b := g.Vertex(VertexID(i)), back.Vertex(VertexID(i)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("vertex %d = %#v, reloaded %#v", i, a, b)
+			}
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			if a, b := g.Edge(EdgeID(i)), back.Edge(EdgeID(i)); !reflect.DeepEqual(a, b) {
+				t.Fatalf("edge %d = %#v, reloaded %#v", i, a, b)
+			}
+		}
+		assertFrozenMatchesGraph(t, g.Freeze(), g)
+	})
 }

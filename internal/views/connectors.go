@@ -406,7 +406,7 @@ func (c SameEdgeTypeConnector) MaterializeParallel(g *graph.Graph, workers int) 
 	}
 	// The single-edge-type walk is the typed-adjacency showcase: every
 	// DFS step reads the contiguous (vertex, EType) group — the
-	// insertion-order subsequence the append-mode filter produced — so
+	// insertion-order subsequence a per-edge type filter produces — so
 	// no edge of another type is even looked at.
 	f := g.Freeze()
 	enumerate := func(s graph.VertexID, used []bool, emit func(connEdge) error) error {

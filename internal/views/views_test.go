@@ -429,6 +429,8 @@ func TestConnectorEdgeCountEqualsPathCount(t *testing.T) {
 
 func countPathsDFS(g *graph.Graph, k int) int {
 	count := 0
+	out := make([][]graph.EdgeID, g.NumVertices())
+	g.EachEdge(func(e *graph.Edge) { out[e.From] = append(out[e.From], e.ID) })
 	used := make(map[graph.EdgeID]bool)
 	var dfs func(at graph.VertexID, hops int)
 	dfs = func(at graph.VertexID, hops int) {
@@ -436,7 +438,7 @@ func countPathsDFS(g *graph.Graph, k int) int {
 			count++
 			return
 		}
-		for _, eid := range g.Out(at) {
+		for _, eid := range out[at] {
 			if used[eid] {
 				continue
 			}

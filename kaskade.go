@@ -105,9 +105,9 @@
 // New freezes the base graph, LoadGraph freezes what it loads, and
 // every view landed in the catalog is frozen before it becomes
 // visible — and is memoized, so it costs one O(V+E) build per graph.
-// The frozen view preserves every iteration order, so results are
-// byte-identical to the append-mode accessors; Explain reports the
-// storage line of the plan's graph. Graphs must not be mutated after
+// The frozen view lists every row in insertion order, so results are
+// byte-identical to a naive evaluation over the edge log; Explain
+// reports the storage line of the plan's graph. Graphs must not be mutated after
 // freezing (the read-only-after-load contract, unchanged).
 //
 // # Parallel execution
