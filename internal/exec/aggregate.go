@@ -12,10 +12,16 @@ import (
 // and Cypher-style implicit grouping in RETURN (group by the
 // non-aggregate items). newAggregator returns nil when no aggregation is
 // needed (pure projection).
+//
+// Each group keeps its first input row as a positional representative
+// (aggGroup.rep, named by repCols): the subquery row itself for a
+// SELECT, an exported copy of the matcher's slots for a MATCH. finish
+// evaluates the non-aggregate parts of the items against it.
 type aggregator struct {
 	items    []gql.ReturnItem
 	keyExprs []gql.Expr      // grouping key expressions
 	aggNodes []*gql.FuncCall // aggregate calls across all items
+	repCols  []string        // names of the representative rows' positions
 	groups   map[string]*aggGroup
 	order    []string // group keys in first-seen order
 
@@ -29,11 +35,13 @@ type aggregator struct {
 }
 
 type aggGroup struct {
-	repEnv map[string]Value // environment of the group's first row
-	accs   []accumulator
+	rep  Row // the group's first input row, positional over repCols
+	accs []accumulator
 }
 
-func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
+// newAggregator builds the aggregator for items grouped by groupBy (or
+// implicitly), fed from rows whose positions repCols names.
+func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr, repCols []string) *aggregator {
 	var aggNodes []*gql.FuncCall
 	for _, item := range items {
 		aggNodes = append(aggNodes, collectAggregates(item.Expr)...)
@@ -45,6 +53,7 @@ func newAggregator(items []gql.ReturnItem, groupBy []gql.Expr) *aggregator {
 		items:    items,
 		keyExprs: groupBy,
 		aggNodes: aggNodes,
+		repCols:  repCols,
 		groups:   make(map[string]*aggGroup),
 	}
 	if len(groupBy) == 0 {
@@ -256,8 +265,12 @@ type prepared struct {
 }
 
 // evalKey evaluates the grouping key expressions into buf and encodes
-// the group key. buf must have len(a.keyExprs).
+// the group key. buf must have len(a.keyExprs). Without grouping keys
+// every row routes to the single group "" and nothing is encoded.
 func (a *aggregator) evalKey(sc scope, buf []Value) (string, error) {
+	if len(a.keyExprs) == 0 {
+		return "", nil
+	}
 	for i, ke := range a.keyExprs {
 		v, err := evalExpr(ke, sc)
 		if err != nil {
@@ -317,20 +330,25 @@ func (a *aggregator) prepare(sc scope) (prepared, error) {
 	return p, nil
 }
 
-// route feeds one evaluated row (group key + aggregate arguments) into
-// its group, materializing the group on first sight with rep() as its
-// representative row. Calls mutate the group table and must stay on
-// one goroutine.
-func (a *aggregator) route(key string, args []Value, rep func() map[string]Value) error {
-	g, ok := a.groups[key]
-	if !ok {
-		g = &aggGroup{repEnv: rep(), accs: make([]accumulator, len(a.aggNodes))}
-		for i, node := range a.aggNodes {
-			g.accs[i] = newAccumulator(node.Name)
-		}
-		a.groups[key] = g
-		a.order = append(a.order, key)
+// group returns key's group, opening it on first sight with an empty
+// representative (the caller fills rep) and reporting whether it is
+// new. Calls mutate the group table and must stay on one goroutine.
+func (a *aggregator) group(key string) (*aggGroup, bool) {
+	if g, ok := a.groups[key]; ok {
+		return g, false
 	}
+	g := &aggGroup{accs: make([]accumulator, len(a.aggNodes))}
+	for i, node := range a.aggNodes {
+		g.accs[i] = newAccumulator(node.Name)
+	}
+	a.groups[key] = g
+	a.order = append(a.order, key)
+	return g, true
+}
+
+// accumulate folds one row's aggregate arguments (nil for COUNT(*)
+// slots, or a nil slice) into g.
+func (a *aggregator) accumulate(g *aggGroup, args []Value) error {
 	for i, node := range a.aggNodes {
 		var v Value
 		if args != nil {
@@ -343,24 +361,34 @@ func (a *aggregator) route(key string, args []Value, rep func() map[string]Value
 	return nil
 }
 
-// feedPrepared routes prepared inputs into their group.
-func (a *aggregator) feedPrepared(p prepared, rep func() map[string]Value) error {
-	return a.route(p.key, p.args, rep)
+// feedPrepared routes prepared inputs into their group; rep becomes the
+// representative if the group is new.
+func (a *aggregator) feedPrepared(p prepared, rep Row) error {
+	g, isNew := a.group(p.key)
+	if isNew {
+		g.rep = rep
+	}
+	return a.accumulate(g, p.args)
 }
 
-// feed routes one input row (as a scope) into its group. feed is
-// goroutine-confined, so it evaluates into the reusable scratch
-// buffers — the accumulators consume argument values immediately
-// (retained ones were exported by evalArgs), never the slice itself.
-func (a *aggregator) feed(sc scope) error {
-	key, err := a.evalKey(sc, a.keyBuf)
+// feed routes one input row into its group. feed is goroutine-confined,
+// so it evaluates into the reusable scratch buffers — the accumulators
+// consume argument values immediately (retained ones were exported by
+// evalArgs), never the slice itself — and snapshots the row only when
+// it opens a group.
+func (a *aggregator) feed(src rowSource) error {
+	key, err := a.evalKey(src, a.keyBuf)
 	if err != nil {
 		return err
 	}
-	if err := a.evalArgs(sc, a.argBuf); err != nil {
+	if err := a.evalArgs(src, a.argBuf); err != nil {
 		return err
 	}
-	return a.route(key, a.argBuf, sc.snapshot)
+	g, isNew := a.group(key)
+	if isNew {
+		g.rep = src.snapshot()
+	}
+	return a.accumulate(g, a.argBuf)
 }
 
 // mergeFrom folds a chunk-local aggregator of the same shape into a, in
@@ -395,28 +423,30 @@ func (a *aggregator) mergeFrom(b *aggregator) error {
 }
 
 // finish produces the grouped output rows in first-seen group order.
+// Aggregate results resolve by ordinal (aligned with aggNodes) through
+// one buffer reused across groups; the rest of each item evaluates
+// against the group's representative row.
 func (a *aggregator) finish() ([]Row, error) {
 	groups := a.order
 	// With no grouping keys, SQL/Cypher aggregation yields exactly one
-	// row even on empty input.
+	// row even on empty input; its representative is empty, so a
+	// variable read outside the aggregates is unknown.
 	if len(a.keyExprs) == 0 && len(groups) == 0 {
-		g := &aggGroup{repEnv: map[string]Value{}, accs: make([]accumulator, len(a.aggNodes))}
-		for i, node := range a.aggNodes {
-			g.accs[i] = newAccumulator(node.Name)
-		}
-		a.groups[""] = g
-		groups = []string{""}
+		a.group("")
+		groups = a.order
 	}
+	aggVals := make([]Value, len(a.aggNodes))
+	sc := &rowScope{cols: a.repCols}
 	var out []Row
 	for _, key := range groups {
 		g := a.groups[key]
-		aggVals := make(map[*gql.FuncCall]Value, len(a.aggNodes))
-		for i, node := range a.aggNodes {
-			aggVals[node] = g.accs[i].result()
+		for i := range a.aggNodes {
+			aggVals[i] = g.accs[i].result()
 		}
+		sc.row = g.rep
 		row := make(Row, len(a.items))
 		for i, item := range a.items {
-			v, err := evalWithAggs(item.Expr, mapScope{env: g.repEnv}, aggVals)
+			v, err := evalWithAggs(item.Expr, sc, a.aggNodes, aggVals)
 			if err != nil {
 				return nil, err
 			}
@@ -428,21 +458,23 @@ func (a *aggregator) finish() ([]Row, error) {
 }
 
 // evalWithAggs evaluates an expression where aggregate calls are replaced
-// by their accumulated results; other subexpressions evaluate against the
-// group's representative row.
-func evalWithAggs(e gql.Expr, sc scope, aggVals map[*gql.FuncCall]Value) (Value, error) {
+// by their accumulated results (aggVals[i] for aggNodes[i]); other
+// subexpressions evaluate against the group's representative row.
+func evalWithAggs(e gql.Expr, sc scope, aggNodes []*gql.FuncCall, aggVals []Value) (Value, error) {
 	switch e := e.(type) {
 	case *gql.FuncCall:
-		if v, ok := aggVals[e]; ok {
-			return v, nil
+		for i, node := range aggNodes {
+			if node == e {
+				return aggVals[i], nil
+			}
 		}
 	case *gql.BinaryExpr:
 		if gql.HasAggregate(e.Left) || gql.HasAggregate(e.Right) {
-			l, err := evalWithAggs(e.Left, sc, aggVals)
+			l, err := evalWithAggs(e.Left, sc, aggNodes, aggVals)
 			if err != nil {
 				return nil, err
 			}
-			r, err := evalWithAggs(e.Right, sc, aggVals)
+			r, err := evalWithAggs(e.Right, sc, aggNodes, aggVals)
 			if err != nil {
 				return nil, err
 			}
@@ -471,7 +503,7 @@ func evalWithAggs(e gql.Expr, sc scope, aggVals map[*gql.FuncCall]Value) (Value,
 		}
 	case *gql.UnaryExpr:
 		if gql.HasAggregate(e.Operand) {
-			v, err := evalWithAggs(e.Operand, sc, aggVals)
+			v, err := evalWithAggs(e.Operand, sc, aggNodes, aggVals)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -188,8 +189,15 @@ func toFloat(v Value) (float64, bool) {
 }
 
 // compareValues compares two values, returning (-1|0|1, true) when they
-// are comparable.
+// are comparable. Two int64s compare exactly; a numeric pair with a
+// float64 side compares in float64 (promoting an int64 above 2^53 may
+// round it).
 func compareValues(l, r Value) (int, bool) {
+	if li, ok := l.(int64); ok {
+		if ri, ok := r.(int64); ok {
+			return cmp.Compare(li, ri), true
+		}
+	}
 	if lf, ok := toFloat(l); ok {
 		if rf, ok := toFloat(r); ok {
 			switch {

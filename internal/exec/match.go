@@ -23,17 +23,21 @@ import (
 // evaluator pins this).
 //
 // Bindings live in flat plan-time scratch, not a map: varNames holds
-// the pattern's variables (fixed at construction) and slots the bound
+// the variables the query needs bound (boundVars, computed once per
+// execution and shared by every worker's matcher) and slots the bound
 // value per variable, nil meaning unbound — pattern variables only ever
-// bind non-nil refs. Binding and backtracking are a slot store and a
-// nil store; the matcher itself implements the evaluator's scope over
-// the slots, so WHERE/RETURN evaluation does no map work at all. Values
-// handed out of a live binding (projected rows, aggregation inputs) are
-// exported at the escape boundary — see exportValue.
+// bind non-nil refs. Every other pattern variable is matched as if it
+// were anonymous: type checks and edge uniqueness are unchanged, but
+// nothing is boxed into a slot for it. Binding and backtracking are a
+// slot store and a nil store; the matcher itself implements the
+// evaluator's scope over the slots, so WHERE/RETURN evaluation does no
+// map work at all. Values handed out of a live binding (projected rows,
+// aggregation inputs, group representatives) are exported at the escape
+// boundary — see exportValue.
 type matcher struct {
 	g        *graph.Graph
 	f        *graph.Frozen // frozen CSR view the traversal reads
-	varNames []string      // pattern variables, deduped, construction order
+	varNames []string      // bound variables (boundVars); shared, read-only
 	slots    []Value       // bound value per variable; nil = unbound
 	usedEdge []bool        // edge-uniqueness set, indexed by EdgeID
 	where    gql.Expr      // optional row filter
@@ -54,26 +58,19 @@ type matcher struct {
 }
 
 // newMatcher builds a matcher for q over ex's graph, traversing the
-// query's frozen snapshot f. The edge-uniqueness set costs O(NumEdges)
-// to allocate and zero, so it is only built when the patterns actually
-// contain edge steps — a vertex-only point query pays nothing for it
-// regardless of graph size.
-func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen) *matcher {
+// query's frozen snapshot f and binding only vars (boundVars(q)). The
+// edge-uniqueness set costs O(NumEdges) to allocate and zero, so it is
+// only built when the patterns actually contain edge steps — a
+// vertex-only point query pays nothing for it regardless of graph size.
+func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery, f *graph.Frozen, vars []string) *matcher {
 	m := &matcher{
-		g:     ex.G,
-		f:     f,
-		where: q.Where,
-		ctx:   ctx,
+		g:        ex.G,
+		f:        f,
+		varNames: vars,
+		slots:    make([]Value, len(vars)),
+		where:    q.Where,
+		ctx:      ctx,
 	}
-	for _, pat := range q.Patterns {
-		for _, n := range pat.Nodes {
-			m.addVar(n.Var)
-		}
-		for _, e := range pat.Edges {
-			m.addVar(e.Var)
-		}
-	}
-	m.slots = make([]Value, len(m.varNames))
 	for _, pat := range q.Patterns {
 		if len(pat.Edges) > 0 {
 			m.usedEdge = make([]bool, ex.G.NumEdges())
@@ -83,21 +80,68 @@ func (ex *Executor) newMatcher(ctx context.Context, q *gql.MatchQuery, f *graph.
 	return m
 }
 
-// addVar registers a pattern variable (deduped; "" ignored).
-func (m *matcher) addVar(name string) {
-	if name == "" {
-		return
+// boundVars lists, in first-occurrence order, the pattern variables a
+// match of q must bind: those an expression reads (WHERE, RETURN items,
+// aggregate arguments) and those occurring more than once across the
+// patterns, whose bindings the matcher checks against each other
+// (joins, cycles, a name used for both a node and an edge, a
+// var-length variable bound twice). Every other variable is
+// unobservable, so the matcher treats it as anonymous.
+func boundVars(q *gql.MatchQuery) []string {
+	read := make(map[string]bool)
+	exprVars(q.Where, read)
+	for _, item := range q.Return {
+		exprVars(item.Expr, read)
 	}
-	for _, n := range m.varNames {
-		if n == name {
+	var order []string
+	seen := make(map[string]int)
+	note := func(name string) {
+		if name == "" {
 			return
 		}
+		if seen[name] == 0 {
+			order = append(order, name)
+		}
+		seen[name]++
 	}
-	m.varNames = append(m.varNames, name)
+	for _, pat := range q.Patterns {
+		for _, n := range pat.Nodes {
+			note(n.Var)
+		}
+		for _, e := range pat.Edges {
+			note(e.Var)
+		}
+	}
+	vars := order[:0]
+	for _, name := range order {
+		if read[name] || seen[name] > 1 {
+			vars = append(vars, name)
+		}
+	}
+	return vars
+}
+
+// exprVars adds the variables e reads to read.
+func exprVars(e gql.Expr, read map[string]bool) {
+	switch e := e.(type) {
+	case *gql.Ident:
+		read[e.Name] = true
+	case *gql.PropAccess:
+		read[e.Base] = true
+	case *gql.UnaryExpr:
+		exprVars(e.Operand, read)
+	case *gql.BinaryExpr:
+		exprVars(e.Left, read)
+		exprVars(e.Right, read)
+	case *gql.FuncCall:
+		for _, a := range e.Args {
+			exprVars(a, read)
+		}
+	}
 }
 
 // slot resolves a variable to its scratch index (-1 when the name is
-// not a pattern variable). Patterns carry a handful of variables, so a
+// anonymous or not bound). Queries bind a handful of variables, so a
 // linear scan — with Go's pointer-equality fast path for interned
 // strings — beats map hashing.
 func (m *matcher) slot(name string) int {
@@ -125,14 +169,12 @@ func (m *matcher) prop(base Value, key string) (Value, error) {
 	return readProp(base, key, &m.colReads, &m.mapReads)
 }
 
-// snapshot implements scope: the bound variables as a map, values
-// exported for retention beyond the current match.
-func (m *matcher) snapshot() map[string]Value {
-	out := make(map[string]Value, len(m.varNames))
-	for i, n := range m.varNames {
-		if v := m.slots[i]; v != nil {
-			out[n] = exportValue(v)
-		}
+// snapshot implements rowSource: the slots as a positional row over
+// varNames, values exported for retention beyond the current match.
+func (m *matcher) snapshot() Row {
+	out := make(Row, len(m.slots))
+	for i, v := range m.slots {
+		out[i] = exportValue(v)
 	}
 	return out
 }
@@ -270,9 +312,8 @@ func (m *matcher) walkChain(patterns []gql.PathPattern, pi, ni int, at graph.Ver
 // already bound (join with an earlier pattern) or we enumerate candidate
 // vertices (restricted by type when given).
 func (m *matcher) bindNode(n gql.NodePattern, cont func(graph.VertexID) error) error {
-	si := -1
-	if n.Var != "" {
-		si = m.slot(n.Var)
+	si := m.slot(n.Var)
+	if si >= 0 {
 		if v := m.slots[si]; v != nil {
 			ref, ok := v.(VertexRef)
 			if !ok {
@@ -318,10 +359,10 @@ func (m *matcher) checkAndBindTarget(toPat gql.NodePattern, target graph.VertexI
 	if toPat.Type != "" && m.f.VertexTypeOf(target) != toPat.Type {
 		return nil
 	}
-	if toPat.Var == "" {
+	si := m.slot(toPat.Var)
+	if si < 0 {
 		return cont(target)
 	}
-	si := m.slot(toPat.Var)
 	if v := m.slots[si]; v != nil {
 		ref, ok := v.(VertexRef)
 		if !ok {
@@ -340,10 +381,7 @@ func (m *matcher) checkAndBindTarget(toPat gql.NodePattern, target graph.VertexI
 
 func (m *matcher) matchSingleEdge(from graph.VertexID, e gql.EdgePattern, toPat gql.NodePattern, cont func(graph.VertexID) error) error {
 	edges := m.stepEdges(from, e.Type, e.Reversed)
-	ei := -1
-	if e.Var != "" {
-		ei = m.slot(e.Var)
-	}
+	ei := m.slot(e.Var)
 	for _, eid := range edges {
 		if err := m.tick(); err != nil {
 			return err
@@ -383,10 +421,7 @@ func (m *matcher) matchSingleEdge(from graph.VertexID, e gql.EdgePattern, toPat 
 func (m *matcher) matchVarLength(from graph.VertexID, e gql.EdgePattern, toPat gql.NodePattern, cont func(graph.VertexID) error) error {
 	var path []graph.EdgeID
 	min, max := e.MinHops, e.MaxHops
-	ei := -1
-	if e.Var != "" {
-		ei = m.slot(e.Var)
-	}
+	ei := m.slot(e.Var)
 
 	emit := func(at graph.VertexID) error {
 		if ei < 0 {

@@ -491,13 +491,13 @@ func (f *oracleFold) result() (*Result, error) {
 		f.newGroup(nil, oracleScope{})
 	}
 	for _, grp := range f.groups {
-		vals := make(map[*gql.FuncCall]Value, len(f.aggs))
-		for i, call := range f.aggs {
-			vals[call] = grp.accs[i].result()
+		vals := make([]Value, len(f.aggs))
+		for i := range f.aggs {
+			vals[i] = grp.accs[i].result()
 		}
 		row := make(Row, len(f.items))
 		for i, item := range f.items {
-			v, err := evalWithAggs(item.Expr, grp.rep, vals)
+			v, err := evalWithAggs(item.Expr, grp.rep, f.aggs, vals)
 			if err != nil {
 				return nil, err
 			}

@@ -17,7 +17,7 @@ import (
 // The parallel matcher partitions the binding space of the first node of
 // the first pattern — the candidate vertex list that the sequential
 // matcher's bindNode would scan — into contiguous chunks, and runs an
-// independent matcher (own bindings map, own edge-uniqueness set) over
+// independent matcher (own binding slots, own edge-uniqueness set) over
 // each chunk on a bounded worker pool. Chunks are merged in partition
 // order, so the result rows, aggregation group order, and row-limit
 // behavior are identical to the sequential path: workers=N is a pure
@@ -60,12 +60,12 @@ const chunkTarget = 16
 
 // aggYield is one buffered-mode yield: the worker-evaluated group key
 // and aggregate arguments, plus — only for the first occurrence of a
-// group key within the chunk — a copy of the bindings, in case the
+// group key within the chunk — the matcher's snapshot row, in case the
 // merge phase discovers this yield opens a new group and needs its
 // representative row.
 type aggYield struct {
 	p   prepared
-	env map[string]Value
+	rep Row
 }
 
 // matchChunk holds one partition's yields. Exactly one of rows/aggs/agg
@@ -164,6 +164,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 	}
 
 	mode := aggModeOf(q.Return, newTypeEnv(ex.G.Schema(), q.Patterns))
+	vars := boundVars(q)
 
 	// Contiguous chunks in candidate order; concatenating chunk results
 	// in chunk-index order reproduces the sequential enumeration.
@@ -192,7 +193,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 		// mode uses it purely as the merge target.
 		var agg *aggregator
 		if mode != AggModeNone {
-			agg = newAggregator(q.Return, nil)
+			agg = newAggregator(q.Return, nil, vars)
 		}
 		firstNode := q.Patterns[0].Nodes[0]
 		// front is the partition the merge currently consumes. Row-mode
@@ -208,7 +209,7 @@ func (ex *Executor) streamMatchParallel(ctx context.Context, q *gql.MatchQuery, 
 				// drain back to empty between candidates, so the
 				// per-matcher state is reusable across chunks without
 				// cross-talk.
-				m := ex.newMatcher(wctx, q, f)
+				m := ex.newMatcher(wctx, q, f, vars)
 				defer m.flushPropReads(ex.Metrics)
 				for {
 					ci, ok := next()
@@ -368,12 +369,11 @@ func (ex *Executor) mergeChunk(mode AggMode, agg *aggregator, ch *matchChunk, co
 				return errMergeStop
 			}
 			y := ch.aggs[i]
-			env := y.env
 			// A group is only ever opened at the global first
 			// occurrence of its key, which is also the first local
 			// occurrence within its chunk — the one yield that carries
-			// the bindings copy.
-			if err := agg.feedPrepared(y.p, func() map[string]Value { return env }); err != nil {
+			// the snapshot row.
+			if err := agg.feedPrepared(y.p, y.rep); err != nil {
 				yield(nil, err)
 				return errMergeStop
 			}
@@ -449,7 +449,7 @@ func (*partitionLimitError) Error() string { return "exec: partition row limit" 
 func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, mode AggMode, agg *aggregator, cands []graph.VertexID, firstNode gql.NodePattern, ch *matchChunk, ci int, front *atomic.Int64) error {
 	switch mode {
 	case AggModePartial:
-		ch.agg = newAggregator(q.Return, nil)
+		ch.agg = newAggregator(q.Return, nil, m.varNames)
 		m.yield = func() error {
 			ch.yields++
 			if ex.MaxRows > 0 && ch.yields > ex.MaxRows {
@@ -471,7 +471,7 @@ func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, mode AggMode,
 			y := aggYield{p: p}
 			if !localGroups[p.key] {
 				localGroups[p.key] = true
-				y.env = m.snapshot()
+				y.rep = m.snapshot()
 			}
 			ch.aggs = append(ch.aggs, y)
 			return nil
@@ -518,10 +518,7 @@ func (ex *Executor) matchChunkRange(m *matcher, q *gql.MatchQuery, mode AggMode,
 			return nil
 		}
 	}
-	fs := -1
-	if firstNode.Var != "" {
-		fs = m.slot(firstNode.Var)
-	}
+	fs := m.slot(firstNode.Var)
 	for _, id := range cands {
 		if err := m.tick(); err != nil {
 			return err

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"strings"
 
 	"kaskade/internal/gql"
@@ -20,12 +21,14 @@ import (
 // (see evalBinary) and a failing leftmost conjunct short-circuits any
 // error the rest of the expression could have raised.
 type colPrefilter struct {
-	col  graph.PropColumn
-	op   string
-	kind graph.PropKind
-	litF float64 // numeric literal, promoted like compareValues
-	litS string
-	litB bool
+	col    graph.PropColumn
+	op     string
+	kind   graph.PropKind
+	litI   int64   // int literal against an int column: exact compare
+	litF   float64 // other numeric pairs promote to float64
+	litInt bool    // PropInt column and int literal (compare litI)
+	litS   string
+	litB   bool
 }
 
 // columnPrefilter derives the prefilter for q over the query's frozen
@@ -125,7 +128,8 @@ func columnPrefilter(q *gql.MatchQuery, f *graph.Frozen) *colPrefilter {
 	case graph.PropInt, graph.PropFloat:
 		switch l := lit.Value.(type) {
 		case int64:
-			pf.litF = float64(l)
+			pf.litI, pf.litF = l, float64(l)
+			pf.litInt = pf.kind == graph.PropInt
 		case float64:
 			pf.litF = l
 		default:
@@ -150,8 +154,9 @@ func columnPrefilter(q *gql.MatchQuery, f *graph.Frozen) *colPrefilter {
 }
 
 // keep reports whether vertex v survives the conjunct. It replicates
-// evalBinary/compareValues bit for bit: numeric comparisons promote to
-// float64 (NaN ties with everything, c == 0), strings use
+// evalBinary/compareValues bit for bit: an int column against an int
+// literal compares exactly, other numeric pairs promote to float64 (NaN
+// ties with everything, c == 0), strings use
 // strings.Compare, bools order false < true. An absent value is kept
 // unless the op is "=": equality against nil is cleanly false (drop),
 // "<>" is true (keep), and an ordering comparison errors in the full
@@ -164,7 +169,11 @@ func (pf *colPrefilter) keep(v graph.VertexID) bool {
 		if !ok {
 			return pf.op != "="
 		}
-		c = cmpFloat(float64(iv), pf.litF)
+		if pf.litInt {
+			c = cmp.Compare(iv, pf.litI)
+		} else {
+			c = cmpFloat(float64(iv), pf.litF)
+		}
 	case graph.PropFloat:
 		fv, ok := pf.col.Float(v)
 		if !ok {

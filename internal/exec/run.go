@@ -242,8 +242,9 @@ func (ex *Executor) streamMatchSeq(ctx context.Context, q *gql.MatchQuery, f *gr
 	}
 	body := func(yield func(Row, error) bool) {
 		matchStart := time.Now()
-		agg := newAggregator(q.Return, nil)
-		m := ex.newMatcher(ctx, q, f)
+		vars := boundVars(q)
+		agg := newAggregator(q.Return, nil, vars)
+		m := ex.newMatcher(ctx, q, f, vars)
 		defer m.flushPropReads(ex.Metrics)
 		if pf := columnPrefilter(q, f); pf != nil {
 			m.firstCands = pf.filter(ex.G.VerticesOfType(q.Patterns[0].Nodes[0].Type), ex.Metrics)
@@ -340,13 +341,10 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	tailStart := time.Now()
 	out := &Result{Cols: returnCols(q.Items)}
 
-	agg := newAggregator(q.Items, q.GroupBy)
-	env := make(map[string]Value, len(sub.Cols))
-	sc := mapScope{env: env}
+	agg := newAggregator(q.Items, q.GroupBy, sub.Cols)
+	sc := &rowScope{cols: sub.Cols}
 	for _, row := range sub.Rows {
-		for i, c := range sub.Cols {
-			env[c] = row[i]
-		}
+		sc.row = row
 		if q.Where != nil {
 			ok, err := evalBool(q.Where, sc)
 			if err != nil {
@@ -403,14 +401,13 @@ func (ex *Executor) evalSelect(ctx context.Context, q *gql.SelectQuery) (*Result
 	return out, nil
 }
 
+// orderRows sorts r's rows stably by the ORDER BY keys, each evaluated
+// over the row's output columns. Incomparable keys tie.
 func orderRows(r *Result, order []gql.OrderItem) error {
-	env := make(map[string]Value, len(r.Cols))
-	sc := mapScope{env: env}
+	sc := &rowScope{cols: r.Cols}
 	keys := make([][]Value, len(r.Rows))
 	for ri, row := range r.Rows {
-		for i, c := range r.Cols {
-			env[c] = row[i]
-		}
+		sc.row = row
 		ks := make([]Value, len(order))
 		for oi, o := range order {
 			v, err := evalExpr(o.Expr, sc)

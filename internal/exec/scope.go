@@ -7,46 +7,57 @@ import (
 )
 
 // scope is the evaluator's view of a variable environment. The matcher
-// implements it directly over its flat var->slot scratch (no
-// map[string]Value per partition), and mapScope adapts the relational
-// paths (SELECT rows, aggregation representative rows) that genuinely
-// hold maps. prop is part of the interface so each scope decides how a
-// property access reads storage: the matcher routes vertex reads
-// through the frozen columns and counts hits vs map fallbacks.
+// implements it directly over its flat var->slot scratch, and rowScope
+// over a positional row with its column names (SELECT rows, group
+// representatives), so no path builds an environment map per row. prop
+// is part of the interface so each scope decides how a property access
+// reads storage: the matcher routes vertex reads through the frozen
+// columns and counts hits vs map fallbacks.
 type scope interface {
 	// lookup resolves a variable, reporting false when unbound.
 	lookup(name string) (Value, bool)
 	// prop reads base.key per this scope's storage policy.
 	prop(base Value, key string) (Value, error)
-	// snapshot materializes the bound variables as a map for retention
-	// beyond the current row (aggregation representative rows, buffered
-	// yields). Values escaping live bindings are exported (PathRef edge
-	// slices copied), so the snapshot stays valid after backtracking.
-	snapshot() map[string]Value
 }
 
-// mapScope is the scope over a plain environment map: SELECT row
-// columns, aggregation representative rows.
-type mapScope struct {
-	env map[string]Value
+// rowSource is a scope that aggregation can feed from: besides
+// evaluating expressions, it hands out its current row as a positional
+// Row safe to retain beyond the current input (a new group's
+// representative). The row's positions follow the column names the
+// aggregator was built with (newAggregator's repCols).
+type rowSource interface {
+	scope
+	snapshot() Row
 }
 
-func (s mapScope) lookup(name string) (Value, bool) {
-	v, ok := s.env[name]
-	return v, ok
+// rowScope is the scope over one positional row: cols[i] names row[i].
+// One rowScope is reused across the rows of a relational pass by
+// re-pointing row, so evaluation boxes nothing per row. Lookups scan
+// from the last column, so a duplicated column name resolves to its
+// last occurrence, as when columns are bound left to right. A row
+// shorter than cols (the empty group's nil representative) binds only
+// its prefix.
+type rowScope struct {
+	cols []string
+	row  Row
 }
 
-func (s mapScope) prop(base Value, key string) (Value, error) {
+func (s *rowScope) lookup(name string) (Value, bool) {
+	for i := min(len(s.cols), len(s.row)) - 1; i >= 0; i-- {
+		if s.cols[i] == name {
+			return s.row[i], true
+		}
+	}
+	return nil, false
+}
+
+func (s *rowScope) prop(base Value, key string) (Value, error) {
 	return readProp(base, key, nil, nil)
 }
 
-func (s mapScope) snapshot() map[string]Value {
-	out := make(map[string]Value, len(s.env))
-	for k, v := range s.env {
-		out[k] = exportValue(v)
-	}
-	return out
-}
+// snapshot returns the row itself: relational rows are immutable once
+// produced, so retaining one needs no copy.
+func (s *rowScope) snapshot() Row { return s.row }
 
 // readProp reads one property. Vertex reads prefer the graph's frozen
 // columns when a frozen view has already been built (CachedFrozen never
@@ -80,11 +91,10 @@ func readProp(base Value, key string, colReads, mapReads *int64) (Value, error) 
 
 // exportValue makes a value safe to retain beyond the binding that
 // produced it. Matcher PathRef bindings alias the walk's scratch path
-// (the per-yield copy the old bindings map paid is gone), so any value
-// that escapes a yield — projected rows, aggregate arguments, snapshot
-// maps — is exported at the escape boundary instead: PathRef edge
-// slices are copied (non-nil even for zero-hop paths, matching the old
-// copies byte for byte), everything else is already immutable.
+// (no per-yield copy), so any value that escapes a yield — projected
+// rows, aggregate arguments, representative rows — is exported at the
+// escape boundary instead: PathRef edge slices are copied (non-nil even
+// for zero-hop paths), everything else is already immutable.
 func exportValue(v Value) Value {
 	if p, ok := v.(PathRef); ok {
 		cp := make([]graph.EdgeID, len(p.Edges))
